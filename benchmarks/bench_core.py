@@ -24,14 +24,6 @@ drivers — threaded and multi-process UDP — and reports nodes-per-core
 (group size over CPU utilization at the scaled clock), the number that
 sizes worker counts on real deployments.
 
-A ``mega_parallel`` tier runs the mega regime through the sharded
-multicore vector lane (:mod:`repro.sim.vector_parallel`,
-``--dispatch vector --shards N``) at 100k nodes against the single-core
-vector lane — parity-checked byte for byte — and finishes with a
-1M-node aggregate-only completion run. ``host_cpu_count`` is recorded
-alongside the speedups: on a single-core host the sharded lane can only
-demonstrate parity and overhead, not speedup.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_core.py            # full (writes BENCH_core.json)
@@ -45,7 +37,6 @@ import argparse
 import gc
 import json
 import math
-import os
 import pathlib
 import platform
 import sys
@@ -86,15 +77,14 @@ def build(n_nodes: int, dispatch: str) -> SimCluster:
     return cluster
 
 
-def build_mega(n_nodes: int, dispatch: str, shards=None) -> SimCluster:
+def build_mega(n_nodes: int, dispatch: str) -> SimCluster:
     """The mega-tier regime: the bench scenario at the paper's fanout.
 
     Differs from :func:`build` in exactly the ways a 10k+-node run
     needs: fanout stays at the paper's 4 (the log2 formula would
     triple per-round work without changing what the tier measures),
     and the collector runs aggregate-only (per-event receiver counts,
-    no per-node sets or gauges) so memory stays flat in n. ``shards``
-    engages the multicore vector lane (``mega_parallel`` tier).
+    no per-node sets or gauges) so memory stays flat in n.
     """
     system = SystemConfig(
         fanout=4,
@@ -114,7 +104,6 @@ def build_mega(n_nodes: int, dispatch: str, shards=None) -> SimCluster:
         dispatch=dispatch,
         sample_gauges=False,
         aggregate_metrics=True,
-        shards=shards,
     )
     cluster.add_senders([0, n_nodes // 2], rate_each=0.5)
     return cluster
@@ -305,120 +294,6 @@ def run_chaos(n_nodes: int, duration: float) -> dict:
         "n_nodes": n_nodes,
         "entries": entries,
         "vector_vs_batched": ratios,
-    }
-
-
-def _run_parallel_one(
-    n_nodes: int, duration: float, shards: int, repeats: int = 2
-) -> dict:
-    """Best-of-``repeats`` for the sharded lane, closing workers between
-    runs so each timed region pays its own spawn-free inner loops (the
-    spawn itself happens before the timer starts)."""
-    wall = math.inf
-    result = None
-    for _ in range(repeats):
-        cluster = build_mega(n_nodes, "vector", shards=shards if shards > 1 else None)
-        try:
-            if shards > 1 and cluster.shards != shards:
-                raise SystemExit(
-                    f"parallel lane refused at n={n_nodes}, shards={shards}: "
-                    f"{cluster.parallel_fallback_reason}"
-                )
-            gc.collect()
-            t0 = time.perf_counter()
-            cluster.run(until=duration)
-            wall = min(wall, time.perf_counter() - t0)
-            result = {
-                "n_nodes": n_nodes,
-                "dispatch": "vector",
-                "shards": shards,
-                "virtual_seconds": duration,
-                "heap_events": cluster.sim.events_dispatched,
-                "deliveries": cluster.metrics.deliveries.total,
-                "_fingerprint": fingerprint(cluster),
-            }
-        finally:
-            cluster.close()
-    result["wall_seconds"] = round(wall, 4)
-    return result
-
-
-def run_parallel(
-    sizes: list, duration: float, shards: int, giga_size: int, giga_duration: float
-) -> dict:
-    """The ``mega_parallel`` tier: the sharded multicore vector lane.
-
-    Each size runs under ``--shards N`` and under the single-core vector
-    lane; the runs must be byte-identical (the lane's contract) or the
-    tier is invalid. The speedup is honest hardware truth, so
-    ``host_cpu_count`` rides along: on a 1-core host the N workers
-    timeshare one core and the ratio measures dispatch overhead, not
-    parallelism. ``giga_size`` (0 skips) adds a one-shot aggregate-only
-    completion run — the "does 1M nodes finish at all" record, no
-    single-core twin (it would double the tier's cost for a number the
-    100k parity pass already pins).
-    """
-    from repro.sim.vector import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        # stdlib-only hosts (the bench-smoke CI job) still emit the tier
-        # key so compare_bench sees a consistent schema — just empty
-        print("parallel tier skipped: numpy not installed")
-        return {
-            "numpy": False,
-            "skipped": "numpy not installed; the sharded lane needs it",
-            "shards": shards,
-            "host_cpu_count": os.cpu_count(),
-            "entries": [],
-            "sharded_vs_single_core": {},
-            "giga_run": None,
-        }
-    entries = []
-    speedups = {}
-    for n in sizes:
-        single = _run_parallel_one(n, duration, shards=1)
-        sharded = _run_parallel_one(n, duration, shards=shards)
-        if single.pop("_fingerprint") != sharded.pop("_fingerprint"):
-            raise SystemExit(
-                f"sharded vector lane diverged from single-core at n={n}, "
-                f"shards={shards}: mega_parallel tier invalid"
-            )
-        speedup = round(single["wall_seconds"] / sharded["wall_seconds"], 3)
-        speedups[str(n)] = speedup
-        entries.extend([single, sharded])
-        print(
-            f"parallel n={n:7d}  shards=1 {single['wall_seconds']:7.2f}s  "
-            f"shards={shards} {sharded['wall_seconds']:7.2f}s  "
-            f"(parity OK, speedup {speedup:.2f}x)"
-        )
-    giga = None
-    if giga_size:
-        row = _run_parallel_one(giga_size, giga_duration, shards=shards, repeats=1)
-        row.pop("_fingerprint")
-        row["completed"] = True
-        giga = row
-        print(
-            f"parallel n={giga_size:7d}  shards={shards} "
-            f"{row['wall_seconds']:7.2f}s  ({row['deliveries']:.0f} deliveries, "
-            "aggregate-only completion run)"
-        )
-    return {
-        "regime": {
-            "protocol": "lpbcast",
-            "round_synchronous": True,
-            "latency": "constant 10ms",
-            "buffer_capacity": 30,
-            "senders": 2,
-            "offered_load_msgs_per_s": 1.0,
-            "fanout": 4,
-            "aggregate_metrics": True,
-        },
-        "numpy": HAVE_NUMPY,
-        "shards": shards,
-        "host_cpu_count": os.cpu_count(),
-        "entries": entries,
-        "sharded_vs_single_core": speedups,
-        "giga_run": giga,
     }
 
 
@@ -653,27 +528,6 @@ def main(argv=None) -> int:
         help="node count for the faulted mega_chaos tier (0 skips the tier)",
     )
     parser.add_argument(
-        "--parallel-sizes",
-        type=int,
-        nargs="*",
-        default=[100_000],
-        help="node counts for the sharded mega_parallel tier "
-        "(pass nothing after the flag to skip the tier)",
-    )
-    parser.add_argument(
-        "--parallel-shards",
-        type=int,
-        default=2,
-        help="worker count for the mega_parallel tier (default 2)",
-    )
-    parser.add_argument(
-        "--giga-size",
-        type=int,
-        default=1_000_000,
-        help="node count for the one-shot aggregate-only completion run "
-        "in the mega_parallel tier (0 skips it)",
-    )
-    parser.add_argument(
         "--process-sizes",
         type=int,
         nargs="*",
@@ -744,21 +598,6 @@ def main(argv=None) -> int:
 
     chaos = run_chaos(chaos_size, chaos_duration) if chaos_size else None
 
-    parallel_sizes = [2000] if args.quick else args.parallel_sizes
-    giga_size = 0 if args.quick else args.giga_size
-    parallel = (
-        run_parallel(
-            parallel_sizes,
-            # cap as chaos does: 100k virtual minutes would dominate the bench
-            min(duration, 30.0),
-            shards=max(2, args.parallel_shards),
-            giga_size=giga_size,
-            giga_duration=8.0,
-        )
-        if parallel_sizes
-        else None
-    )
-
     process_sizes = [16] if args.quick else args.process_sizes
     process = (
         run_process_tier(process_sizes, spec_seconds=8.0 if args.quick else 12.0)
@@ -801,7 +640,6 @@ def main(argv=None) -> int:
         "scaling": scaling,
         "mega_scaling": mega,
         "mega_chaos": chaos,
-        "mega_parallel": parallel,
         "process_scaling": process,
         "speedup_batched_vs_timers": speedups,
         "micro_hot_paths": micro,

@@ -4,20 +4,17 @@ CI's bench-regression step runs this after the bench-smoke job::
 
     python benchmarks/compare_bench.py bench-core-quick.json BENCH_core.json
 
-Three sections are compared. ``micro_hot_paths``: micro timings are
+Two sections are compared. ``micro_hot_paths``: micro timings are
 size-independent, so a ``--quick`` smoke document (n=100) is directly
 comparable to the full checked-in reference (n=250..1000), while the
 end-to-end wall times are not (different node counts, different
 machines). ``mega_chaos``: the per-scenario vector-vs-batched speedup
 ratios, compared only when both documents ran the tier at the same
 node count (informational otherwise — a smoke-sized ratio against the
-full reference would measure scale, not drift). ``mega_parallel``: the
-sharded-vs-single-core speedup per node count, compared only at equal
-shard and host core counts. Every comparison whose
-current/reference ratio exceeds
-``--threshold`` (default 1.5x) produces a warning — emitted as a GitHub
-Actions ``::warning::`` annotation when running under CI — but the exit
-code stays 0 unless ``--fail`` is passed: CI machines are noisy, so
+full reference would measure scale, not drift). Every comparison whose
+current/reference ratio exceeds ``--threshold`` (default 1.5x) produces
+a warning — emitted as a GitHub Actions ``::warning::`` annotation when
+running under CI — but the exit code stays 0 unless ``--fail`` is passed: CI machines are noisy, so
 bench regressions warn rather than gate (hard micro gates live in
 ``benchmarks/test_micro_hotpaths.py``).
 """
@@ -123,64 +120,6 @@ def compare_chaos(
     return lines, warnings
 
 
-def compare_parallel(
-    current: dict, reference: dict, threshold: float
-) -> tuple[list[str], list[str]]:
-    """(report lines, warnings) for the ``mega_parallel`` speedups.
-
-    The tier's headline is the sharded-vs-single-core speedup per node
-    count. The same warn-don't-gate policy applies, with two extra
-    comparability screens: the shard counts must match (a 2-worker ratio
-    against a 4-worker reference measures configuration, not drift), and
-    so must the host core counts (``host_cpu_count`` rides in the tier
-    precisely because a 1-core CI runner cannot reproduce a 16-core
-    reference speedup). On first appearance — no ``mega_parallel`` in
-    the reference — :func:`note_new_tiers` reports the whole tier
-    informationally and this comparison is silent.
-    """
-    cur_tier = current.get("mega_parallel") or {}
-    ref_tier = reference.get("mega_parallel") or {}
-    cur = cur_tier.get("sharded_vs_single_core", {})
-    ref = ref_tier.get("sharded_vs_single_core", {})
-    lines: list[str] = []
-    warnings: list[str] = []
-    if not cur or not ref:
-        return lines, warnings
-    mismatches = [
-        f"{field} differs (cur {cur_tier.get(field)}, ref {ref_tier.get(field)})"
-        for field in ("shards", "host_cpu_count")
-        if cur_tier.get(field) != ref_tier.get(field)
-    ]
-    comparable = not mismatches
-    if not comparable:
-        lines.append(
-            "  mega_parallel " + "; ".join(mismatches) + "; speedups "
-            "informational only"
-        )
-    for key in sorted(set(cur) & set(ref), key=int):
-        cur_x, ref_x = cur[key], ref[key]
-        if not cur_x:
-            continue
-        drift = ref_x / cur_x  # >1 means the sharded speedup shrank
-        verdict = "ok" if comparable else "info"
-        if comparable and drift > threshold:
-            verdict = "SLOWDOWN"
-            warnings.append(
-                f"mega_parallel n={key} sharded speedup shrank {drift:.2f}x "
-                f"({ref_x:.2f}x -> {cur_x:.2f}x, threshold {threshold:.2f}x)"
-            )
-        lines.append(
-            f"  parallel n={key:>8s} ref {ref_x:6.2f}x  cur {cur_x:6.2f}x  {verdict}"
-        )
-    for key in sorted(set(ref) - set(cur), key=int):
-        lines.append(f"  parallel n={key:>8s} missing from current document")
-        if comparable:
-            warnings.append(f"mega_parallel n={key} missing from current document")
-    for key in sorted(set(cur) - set(ref), key=int):
-        lines.append(f"  parallel n={key:>8s} new (no reference yet; informational)")
-    return lines, warnings
-
-
 def note_new_tiers(current: dict, reference: dict) -> list[str]:
     """Document sections present only in the newer JSON.
 
@@ -231,12 +170,6 @@ def main(argv=None) -> int:
     if chaos_lines:
         print("\n".join(chaos_lines))
     warnings.extend(chaos_warnings)
-    parallel_lines, parallel_warnings = compare_parallel(
-        current, reference, args.threshold
-    )
-    if parallel_lines:
-        print("\n".join(parallel_lines))
-    warnings.extend(parallel_warnings)
     for line in note_new_tiers(current, reference):
         print(line)
     annotate = os.environ.get("GITHUB_ACTIONS") == "true"

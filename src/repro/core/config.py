@@ -3,8 +3,8 @@
 Every constant the paper discusses is a field here, with the paper's own
 selection guidance quoted in the docstrings. Where the available text of
 the paper garbles a numeric value, the default follows the stated guidance
-and DESIGN.md records the substitution; the ablation benchmarks sweep each
-of them.
+and the field's entry below says so; the ablation benchmarks sweep each of
+them.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class AdaptiveConfig:
         otherwise freeze — possibly inside the hysteresis band, pinning
         the rate forever. After this many consecutive sample-free rounds
         the evidence expires and the system counts as uncongested again.
-        The paper's pseudo-code does not need this because its scenarios
-        keep buffers pressured; see DESIGN.md (substitutions).
+        An addition to the paper's pseudo-code, which does not need it
+        because its scenarios keep buffers pressured.
     """
 
     age_critical: float = 5.3

@@ -268,7 +268,6 @@ def _run_run_scenario(profile, args):
             jobs=args.jobs,
             dispatch=args.dispatch,
             horizon=args.horizon,
-            shards=args.shards,
         )
         chunks.append(
             render_table(
@@ -283,25 +282,24 @@ def _run_run_scenario(profile, args):
         payload["sim"] = results
         if args.dispatch == "vector":
             from repro.experiments.harness import (
-                parallel_fallback_reason,
                 spec_for_scenario,
                 vector_fallback_reason,
             )
             from repro.scenarios.registry import get_scenario
 
-            specs = {
-                name: spec_for_scenario(
-                    get_scenario(name, profile),
-                    dispatch="vector",
-                    horizon=args.horizon,
-                    shards=args.shards,
-                )
-                for name in names
-            }
             fallbacks = {
                 name: reason
-                for name, spec in specs.items()
-                if (reason := vector_fallback_reason(spec)) is not None
+                for name in names
+                if (
+                    reason := vector_fallback_reason(
+                        spec_for_scenario(
+                            get_scenario(name, profile),
+                            dispatch="vector",
+                            horizon=args.horizon,
+                        )
+                    )
+                )
+                is not None
             }
             if fallbacks:
                 lines = [
@@ -313,23 +311,6 @@ def _run_run_scenario(profile, args):
                 )
                 chunks.append("\n".join(lines))
             payload["vector_fallbacks"] = fallbacks
-            parallel_fallbacks = {
-                name: reason
-                for name, spec in specs.items()
-                if name not in fallbacks
-                and (reason := parallel_fallback_reason(spec)) is not None
-            }
-            if parallel_fallbacks:
-                lines = [
-                    "Shard fallbacks — these ran the vector lane "
-                    "single-core:"
-                ]
-                lines.extend(
-                    f"  {name}: {reason}"
-                    for name, reason in parallel_fallbacks.items()
-                )
-                chunks.append("\n".join(lines))
-            payload["parallel_fallbacks"] = parallel_fallbacks
     if args.driver in ("threaded", "both"):
         reports = [
             run_scenario(name, driver="threaded", profile=profile, horizon=args.horizon)
@@ -425,7 +406,6 @@ def _run_check_scenarios(profile, args) -> tuple[str, dict, int]:
             dispatch=args.dispatch,
             horizon=args.horizon,
             evaluate=not args.update_baselines,
-            shards=args.shards,
         ):
             runs.append((check.scenario, check.checks, check.result))
     if args.driver in ("threaded", "both"):
@@ -717,14 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             help="shrink each scenario to this many simulated seconds",
-        )
-        p.add_argument(
-            "--shards",
-            type=int,
-            default=None,
-            help="worker processes for the multicore vector lane "
-            "(with --dispatch vector): 0 = auto (cores - 1), 1 = "
-            "single-core; byte-identical at any count",
         )
         p.add_argument(
             "--quick",

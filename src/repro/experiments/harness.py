@@ -34,7 +34,6 @@ from repro.metrics.delivery import DeliveryStats, analyze_delivery
 from repro.scenarios.spec import ScenarioSpec, SenderSpec, build_latency
 from repro.sim.faults import CrashWindow
 from repro.sim.vector import vector_ineligible_reason
-from repro.sim.vector_parallel import parallel_ineligible_reason, resolve_shards
 from repro.workload.cluster import SimCluster
 from repro.workload.dynamics import ResourceScript
 
@@ -46,7 +45,6 @@ __all__ = [
     "spec_for_scenario",
     "build_cluster",
     "vector_fallback_reason",
-    "parallel_fallback_reason",
 ]
 
 
@@ -87,10 +85,6 @@ class RunSpec:
     # aggregate-only metrics: receiver counts instead of receiver sets,
     # no per-node gauges — the memory mode for 10k+-node runs
     aggregate_metrics: bool = False
-    # sampling-worker processes for the multicore vector lane:
-    # None/1 single-core, 0 auto (cores - 1), >= 2 that many shards —
-    # byte-identical at any count (see repro.sim.vector_parallel)
-    shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.sender_ids:
@@ -253,26 +247,6 @@ def vector_fallback_reason(spec: RunSpec) -> Optional[str]:
     )
 
 
-def parallel_fallback_reason(spec: RunSpec) -> Optional[str]:
-    """Why ``shards >= 2`` would fall back to single-core execution.
-
-    ``None`` when no multicore run was requested or the parallel lane
-    engages; otherwise a sentence the CLI prints alongside the vector
-    fallback reasons.
-    """
-    resolved = resolve_shards(spec.shards)
-    if resolved < 2:
-        return None
-    if spec.dispatch != "vector":
-        return (
-            f"shards={resolved} needs --dispatch vector "
-            f"(dispatch is {spec.dispatch!r})"
-        )
-    if vector_fallback_reason(spec) is not None:
-        return f"shards={resolved} needs the vector lane, which did not engage"
-    return parallel_ineligible_reason(shards=resolved, n_nodes=spec.n_nodes)
-
-
 def build_cluster(spec: RunSpec) -> SimCluster:
     """Materialise the cluster, senders and schedules for a spec
     (without running)."""
@@ -302,7 +276,6 @@ def build_cluster(spec: RunSpec) -> SimCluster:
         allow_mega=(
             spec.dispatch != "vector" or vector_fallback_reason(spec) is None
         ),
-        shards=spec.shards,
     )
     if spec.senders is not None:
         for sender in spec.senders:
@@ -328,13 +301,6 @@ def build_cluster(spec: RunSpec) -> SimCluster:
 def run_once(spec: RunSpec) -> RunResult:
     """Execute a spec and summarise its steady-state window."""
     cluster = build_cluster(spec)
-    try:
-        return _summarise(cluster, spec)
-    finally:
-        cluster.close()
-
-
-def _summarise(cluster: SimCluster, spec: RunSpec) -> RunResult:
     cluster.run(until=spec.duration)
 
     since, until = spec.window

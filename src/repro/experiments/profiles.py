@@ -1,6 +1,6 @@
 """Experiment scale profiles.
 
-Two profiles are provided:
+Four profiles are provided:
 
 * ``quick`` — the default. 30 nodes, shorter horizons, a coarser sweep.
   Every figure's *shape* is visible; a full benchmark session runs in
@@ -11,14 +11,12 @@ Two profiles are provided:
   (:mod:`repro.sim.vector`). Keeps the paper's fanout of 4 and short
   horizons; meant for ``--dispatch vector`` scaling runs and the
   ``mega-flood`` scenario, not for the figure sweeps.
-* ``giga`` — 100,000 processes for the multicore vector lane
-  (:mod:`repro.sim.vector_parallel`). Shorter still; meant for
-  ``--dispatch vector --shards N`` runs and the ``giga-flood``
-  scenario.
+* ``giga`` — 100,000 processes on the same executor. Shorter still;
+  meant for ``--dispatch vector`` runs of the ``giga-flood`` scenario.
 
 The paper runs its testbed with a gossip period of 5 s; we default to
 1 s so wall-clock-heavy sweeps stay tractable — all rates simply scale by
-``1/T`` (DESIGN.md, substitutions). ``tau_hint`` and ``max_rate_hints``
+``1/T``, shapes are unaffected. ``tau_hint`` and ``max_rate_hints``
 are *measured* values from :func:`repro.experiments.calibrate.calibrate`
 on this codebase, baked in so dependent figures do not have to re-run the
 calibration; the Figure 4 benchmark recomputes and checks them.

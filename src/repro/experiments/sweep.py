@@ -66,7 +66,6 @@ def run_scenario_matrix(
     jobs: int = 1,
     dispatch: str = "batched",
     horizon: Optional[float] = None,
-    shards: Optional[int] = None,
 ) -> list[RunResult]:
     """Run a scenario matrix, ``jobs`` at a time; results in name order.
 
@@ -82,12 +81,7 @@ def run_scenario_matrix(
     if names is None:
         names = scenario_names()
     specs = [
-        spec_for_scenario(
-            get_scenario(name, profile),
-            dispatch=dispatch,
-            horizon=horizon,
-            shards=shards,
-        )
+        spec_for_scenario(get_scenario(name, profile), dispatch=dispatch, horizon=horizon)
         for name in names
     ]
     return run_specs(specs, jobs=jobs)
@@ -102,7 +96,6 @@ class _CheckJob:
     dispatch: str = "batched"
     horizon: Optional[float] = None
     evaluate: bool = True  # False: result capture only (baseline updates)
-    shards: Optional[int] = None  # multicore vector lane worker count
 
 
 def _check_one(job: _CheckJob):
@@ -117,11 +110,7 @@ def _check_one(job: _CheckJob):
     )
 
     spec = job.spec
-    run = run_once(
-        spec_for_scenario(
-            spec, dispatch=job.dispatch, horizon=job.horizon, shards=job.shards
-        )
-    )
+    run = run_once(spec_for_scenario(spec, dispatch=job.dispatch, horizon=job.horizon))
     result = ScenarioResult.from_sim(run, profile=job.profile_name)
     if not job.evaluate:
         return ScenarioCheck(scenario=spec.name, result=result)
@@ -130,12 +119,7 @@ def _check_one(job: _CheckJob):
     if protocol is not None:
         static_spec = spec.replace(protocol=protocol, adaptive=None, rate_limit=None)
         static_run = run_once(
-            spec_for_scenario(
-                static_spec,
-                dispatch=job.dispatch,
-                horizon=job.horizon,
-                shards=job.shards,
-            )
+            spec_for_scenario(static_spec, dispatch=job.dispatch, horizon=job.horizon)
         )
         companion = ScenarioResult.from_sim(static_run, profile=job.profile_name)
     return ScenarioCheck(
@@ -153,7 +137,6 @@ def run_spec_checks(
     dispatch: str = "batched",
     horizon: Optional[float] = None,
     evaluate: bool = True,
-    shards: Optional[int] = None,
 ) -> list:
     """Run *already-built* scenario specs with per-shard evaluation.
 
@@ -170,7 +153,6 @@ def run_spec_checks(
             dispatch=dispatch,
             horizon=horizon,
             evaluate=evaluate,
-            shards=shards,
         )
         for spec in specs
     ]
@@ -187,7 +169,6 @@ def run_scenario_checks(
     dispatch: str = "batched",
     horizon: Optional[float] = None,
     evaluate: bool = True,
-    shards: Optional[int] = None,
 ) -> list:
     """Run a scenario matrix *with expectation evaluation per shard*.
 
@@ -213,17 +194,13 @@ def run_scenario_checks(
         dispatch=dispatch,
         horizon=horizon,
         evaluate=evaluate,
-        shards=shards,
     )
 
 
 def _collect_once(spec: RunSpec) -> MetricsCollector:
     cluster = build_cluster(spec)
-    try:
-        cluster.run(until=spec.duration)
-        return cluster.metrics
-    finally:
-        cluster.close()
+    cluster.run(until=spec.duration)
+    return cluster.metrics
 
 
 def merged_metrics(specs: Iterable[RunSpec], jobs: int = 1) -> MetricsCollector:

@@ -25,8 +25,8 @@ class SystemConfig:
         ``f`` — number of random targets per gossip round (paper uses 4).
     gossip_period:
         ``T`` — seconds between gossip rounds. The paper's testbed used
-        5 s; we default to 1 s (see DESIGN.md, substitutions) — all rates
-        scale by ``1/T``, shapes are unaffected.
+        5 s; we substitute a 1 s default so wall-clock-heavy sweeps stay
+        tractable — all rates scale by ``1/T``, shapes are unaffected.
     buffer_capacity:
         ``|events|max`` — bound on buffered events. The evaluation sweeps
         this between 30 and 180.

@@ -298,13 +298,17 @@ class ThreadedCluster(Driver):
 
         The change is queued onto the node's own thread (the protocol is
         never touched cross-thread) — the threaded counterpart of
-        :meth:`repro.workload.cluster.SimCluster.set_capacity`.
+        :meth:`repro.workload.cluster.SimCluster.set_capacity`. An id
+        that never joined is ignored, as in :meth:`crash_node`: a
+        scheduled change may name a member that is not there yet.
         """
 
         def apply(protocol, now: float) -> None:
             protocol.set_buffer_capacity(capacity, now)
 
-        self.nodes[node_id].invoke(apply)
+        node = self.nodes.get(node_id)
+        if node is not None:
+            node.invoke(apply)
 
     def note_admitted(self, node_id: Any, event_id, when: Optional[float] = None) -> None:
         """Record an admission in the metrics (used by runtime tests)."""

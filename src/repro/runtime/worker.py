@@ -51,15 +51,6 @@ from repro.membership.views import PartialViewMembership, ViewConfig
 from repro.metrics.collector import MetricsCollector
 from repro.runtime.codec import BinaryCodec
 from repro.runtime.transport import ChaosRules, ChaosStats
-from repro.sim.faults import (
-    AsymmetricPartitionWindow,
-    BandwidthCapWindow,
-    CrashWindow,
-    LinkLossWindow,
-    LossWindow,
-    PartitionWindow,
-)
-from repro.sim.network import BernoulliLoss
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.workload.dynamics import CapacityChange
 
@@ -262,7 +253,7 @@ class _AsyncNode:
         if addr is None:
             worker.send_failures += 1
             return
-        rules = worker.rules
+        rules = worker.chaos
         if rules is not None:
             verdict = rules.plan(self.node_id, addr, self.chaos_rng)
             if verdict is None:
@@ -280,8 +271,8 @@ class _AsyncNode:
         if not self.alive or self.transport is None or self.transport.is_closing():
             return
         self._wire(addr, data)
-        if self.worker.rules is not None:
-            self.worker.rules.note_sent()
+        if self.worker.chaos is not None:
+            self.worker.chaos.note_sent()
 
     def _wire(self, addr, data: bytes) -> None:
         transport = self.transport
@@ -329,7 +320,7 @@ class ShardWorker:
         self._tasks: list[asyncio.Task] = []
         self._t0: Optional[float] = None
 
-        self.rules: Optional[ChaosRules] = None
+        self.chaos: Optional[ChaosRules] = None
         if spec.wire_conditions:
             rules = ChaosRules(
                 loss=spec.baseline_loss,
@@ -341,7 +332,7 @@ class ShardWorker:
             # cap windows bucket per *spec* second, the simulator's
             # granularity (see ThreadedCluster.from_scenario)
             rules.bind_clock(lambda: self.clock() / self.scale)
-            self.rules = rules
+            self.chaos = rules
 
     def clock(self) -> float:
         """Run-relative wall clock; 0 until the start barrier."""
@@ -369,14 +360,18 @@ class ShardWorker:
                         self.hosted[node].protocol.set_buffer_capacity(
                             change.capacity, 0.0
                         )
-        from repro.scenarios.runner import _Feeder  # lazy: keeps import light
+        # lazy: keeps import light
+        from repro.scenarios.runner import _Feeder, lower_timed_conditions
 
         self.feeders = [
             _Feeder(sender, self.scale, spec.seed)
             for sender in spec.senders
             if sender.node in self._own
         ]
-        self.actions = self._build_actions()
+        # the same schedule on every worker: chaos windows mutate this
+        # worker's rule-set copy, crash/churn replicate the directory
+        # change, resource changes reach owned protocols and feeders only
+        self.actions, _ = lower_timed_conditions(spec, self, self.scale, self.feeders)
 
     async def _spawn_node(self, node_id) -> _AsyncNode:
         membership = self._make_membership(node_id)
@@ -405,104 +400,18 @@ class ShardWorker:
         return PartialViewMembership(node_id, cfg, initial_view=bootstrap)
 
     # ------------------------------------------------------------------
-    # the scheduled conditions (compiled once, fired by one task)
+    # the live-driver target surface the shared condition lowering acts
+    # on: ``chaos`` plus set_capacity / crash_node / leave_node /
+    # join_node. Every worker replicates the directory; only the owner
+    # touches protocols and sockets.
     # ------------------------------------------------------------------
-    def _build_actions(self) -> list:
-        """Every timed condition as ``(wall_time, seq, thunk)`` triples.
+    def set_capacity(self, node, capacity: int) -> None:
+        """Resize an owned, live node's buffer; other nodes are not ours."""
+        hosted = self.hosted.get(node)
+        if hosted is not None and hosted.alive:
+            hosted.protocol.set_buffer_capacity(capacity, self.clock())
 
-        The same lowering as the threaded driver's ``_threaded_actions``,
-        worker-local: chaos windows mutate this worker's rule set (each
-        sender enforces its own copy of the same schedule), crash/churn
-        stop and restart owned nodes for real while *all* workers
-        replicate the directory change, resource changes touch owned
-        protocols and feeders only.
-        """
-        spec = self.cfg.spec
-        actions: list[tuple[float, int, Any]] = []
-
-        def add(spec_time: float, thunk) -> None:
-            actions.append((spec_time * self.scale, len(actions), thunk))
-
-        for change in spec.resources.changes:
-            if change.time == 0.0 and isinstance(change, CapacityChange):
-                continue  # applied pre-start by bind_initial
-            if isinstance(change, CapacityChange):
-
-                def apply_capacity(c=change):
-                    for node in c.nodes:
-                        hosted = self.hosted.get(node)
-                        if hosted is not None and hosted.alive:
-                            hosted.protocol.set_buffer_capacity(
-                                c.capacity, self.clock()
-                            )
-
-                add(change.time, apply_capacity)
-            else:  # OfferedRateChange — repace the affected owned feeders
-
-                def repace(c=change):
-                    for feeder in self.feeders:
-                        if feeder.node in c.nodes:
-                            feeder.arrivals.rate = c.rate
-
-                add(change.time, repace)
-
-        rules = self.rules
-        baseline = spec.baseline_loss
-        for fault in spec.faults.faults:
-            if rules is not None and isinstance(fault, LossWindow):
-                add(fault.time, lambda f=fault: rules.set_loss(BernoulliLoss(f.p)))
-                add(fault.time + fault.duration, lambda: rules.set_loss(baseline))
-            elif rules is not None and isinstance(fault, LinkLossWindow):
-                add(fault.time, lambda f=fault: rules.set_link_loss(f.matrix))
-                add(fault.time + fault.duration, lambda: rules.set_link_loss(None))
-            elif rules is not None and isinstance(fault, PartitionWindow):
-                add(
-                    fault.time,
-                    lambda f=fault: rules.partition([list(g) for g in f.groups]),
-                )
-                add(fault.time + fault.duration, rules.heal)
-            elif rules is not None and isinstance(fault, AsymmetricPartitionWindow):
-                add(
-                    fault.time,
-                    lambda f=fault: rules.partition_oneway(
-                        [list(g) for g in f.groups], f.blocked
-                    ),
-                )
-                add(fault.time + fault.duration, rules.heal_oneway)
-            elif rules is not None and isinstance(fault, BandwidthCapWindow):
-                add(fault.time, lambda f=fault: rules.set_bandwidth_cap(f.rate))
-                add(
-                    fault.time + fault.duration,
-                    lambda: rules.set_bandwidth_cap(None),
-                )
-            elif isinstance(fault, CrashWindow):
-
-                def crash(f=fault):
-                    for node in f.nodes:
-                        self._crash(node)
-
-                add(fault.time, crash)
-                if fault.restart_at is not None:
-
-                    def restart(f=fault):
-                        for node in f.nodes:
-                            self._join(node)
-
-                    add(fault.restart_at, restart)
-            # unknown kinds are reported by process_coverage as skipped
-
-        dispatch = {"join": self._join, "leave": self._leave, "crash": self._crash}
-        for event in spec.churn.sorted_events():
-            add(event.time, lambda fn=dispatch[event.action], n=event.node: fn(n))
-
-        actions.sort(key=lambda entry: (entry[0], entry[1]))
-        return actions
-
-    # ------------------------------------------------------------------
-    # live membership (every worker replicates the directory; only the
-    # owner touches sockets)
-    # ------------------------------------------------------------------
-    def _crash(self, node) -> None:
+    def crash_node(self, node) -> None:
         """Silent failure: directory leave everywhere, socket down here."""
         if not self.host.directory.is_alive(node):
             return
@@ -511,7 +420,7 @@ class ShardWorker:
         if hosted is not None:
             hosted.stop()
 
-    def _leave(self, node) -> None:
+    def leave_node(self, node) -> None:
         """Graceful departure: unsubscribe rides one more round out."""
         if not self.host.directory.is_alive(node):
             return
@@ -527,7 +436,7 @@ class ShardWorker:
         else:  # full membership: the directory itself is the announcement
             hosted.stop()
 
-    def _join(self, node) -> None:
+    def join_node(self, node) -> None:
         """(Re)join: fresh protocol, old identity, same mapped port."""
         hosted = self.hosted.get(node)
         if self.host.directory.is_alive(node) and (
@@ -592,8 +501,8 @@ class ShardWorker:
         self._tasks.clear()
         for node in self.hosted.values():
             node.stop()
-        if self.rules is not None:
-            self.rules.close()
+        if self.chaos is not None:
+            self.chaos.close()
 
     def report(self) -> WorkerReport:
         delivered = {
@@ -614,7 +523,7 @@ class ShardWorker:
             send_failures=self.send_failures,
             bind_errors=self.bind_errors,
             metrics=self.host.metrics,
-            chaos=None if self.rules is None else self.rules.stats,
+            chaos=None if self.chaos is None else self.chaos.stats,
         )
 
 

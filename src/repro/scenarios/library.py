@@ -537,16 +537,16 @@ def mega_flaky_edge(profile: Profile) -> ScenarioSpec:
     ),
 )
 def giga_flood(profile: Profile) -> ScenarioSpec:
-    """mega-flood's flash crowd at the multicore lane's home scale.
+    """mega-flood's flash crowd at ten times the population.
     Run it at 100k nodes with ``REPRO_PROFILE=giga run-scenario
-    giga-flood --dispatch vector --shards 0`` (auto shard count); at any
-    other profile it behaves like a jitter-free flash-crowd and stays
-    byte-identical across dispatch modes and shard counts."""
+    giga-flood --dispatch vector``; at any other profile it behaves
+    like a jitter-free flash-crowd and stays byte-identical across
+    dispatch modes."""
     d = profile.duration
     return _mega_base(
         profile,
         "giga-flood",
-        "flash crowd at 100k-node scale for the sharded vector lane",
+        "flash crowd at 100k-node scale on the columnar vector lane",
         seed_offset=20,
     ).stressed(LoadSpike(time=0.4 * d, duration=0.25 * d, factor=4.0))
 

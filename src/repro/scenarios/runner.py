@@ -183,16 +183,6 @@ class _Feeder:
         self.next += self.arrivals.next_interval(self.rng) * self.scale
 
 
-_KNOWN_FAULTS = (
-    LossWindow,
-    LinkLossWindow,
-    PartitionWindow,
-    AsymmetricPartitionWindow,
-    BandwidthCapWindow,
-    CrashWindow,
-)
-
-
 # condition -> how each live driver lowers it; the key set is the shared
 # classification, only the wording after ": " differs. Keeping the
 # condition labels ("loss window", "crash window", ...) identical across
@@ -241,10 +231,11 @@ def _condition_coverage(
         injected.append(f"{caps} bandwidth cap window(s): {chaos}")
     if crashes:
         injected.append(f"{crashes} crash window(s): {crash}")
-    unknown = sum(1 for f in spec.faults.faults if not isinstance(f, _KNOWN_FAULTS))
-    if unknown:
+    # nothing is fired, so the audit needs no target to lower against
+    _, not_lowered = lower_timed_conditions(spec, None, 1.0, ())
+    if not_lowered:
         skipped.append(
-            f"{unknown} unrecognised fault window(s): {lowering['unknown']}"
+            f"{len(not_lowered)} unrecognised fault window(s): {lowering['unknown']}"
         )
     if len(spec.churn):
         injected.append(f"{len(spec.churn)} churn event(s): {lowering['churn']}")
@@ -281,29 +272,44 @@ def process_coverage(spec: ScenarioSpec) -> tuple[tuple[str, ...], tuple[str, ..
     return _condition_coverage(spec, _PROCESS_LOWERING)
 
 
-def _threaded_actions(spec: ScenarioSpec, cluster, scale: float, feeders) -> list:
+def lower_timed_conditions(spec: ScenarioSpec, target, scale: float, feeders):
     """Lower every timed condition onto ``(wall_time, seq, thunk)`` triples.
 
-    The complement of the t=0 work ``ThreadedCluster.from_scenario``
-    already did (t=0 capacity overrides, baseline loss/latency on the
-    chaos rules): resource changes go through the node command queues,
-    loss/partition/bandwidth windows mutate the shared chaos rule set,
-    crash windows and churn events stop/start real node threads.
+    The one lowering both live drivers share. ``target`` is duck-typed:
+    ``chaos`` (the driver's :class:`~repro.runtime.transport.ChaosRules`,
+    present whenever the spec has a wire fault — see
+    ``ScenarioSpec.wire_conditions``), ``set_capacity(node, capacity)``
+    (ignoring nodes the target does not host), ``crash_node``,
+    ``join_node`` and ``leave_node``. :class:`ThreadedCluster` is one
+    such target; each process-driver ``ShardWorker`` is another, acting
+    on its own nodes, feeders and rule-set copy while every worker
+    replays the same schedule. ``target`` is only touched when a thunk
+    fires, never here.
+
+    The complement of the t=0 work the drivers do pre-start (t=0
+    capacity overrides, baseline loss/latency on the chaos rules):
+    resource changes go to ``set_capacity`` and the ``feeders``, loss/
+    partition/bandwidth windows mutate the chaos rule set, crash windows
+    and churn events stop/start real nodes.
+
+    Returns ``(actions, not_lowered)``: the triples in ``(time, seq)``
+    order, and the faults of a kind this function has no lowering for —
+    what the coverage audit reports as skipped.
     """
     actions: list[tuple[float, int, object]] = []
+    not_lowered: list = []
 
     def add(spec_time: float, thunk) -> None:
         actions.append((spec_time * scale, len(actions), thunk))
 
     for change in spec.resources.changes:
         if change.time == 0.0 and isinstance(change, CapacityChange):
-            continue  # applied pre-start by from_scenario
+            continue  # applied pre-start by the driver
         if isinstance(change, CapacityChange):
 
             def apply_capacity(c=change):
                 for node in c.nodes:
-                    if node in cluster.nodes:
-                        cluster.set_capacity(node, c.capacity)
+                    target.set_capacity(node, c.capacity)
 
             add(change.time, apply_capacity)
         else:  # OfferedRateChange — repace the affected feeders
@@ -315,62 +321,65 @@ def _threaded_actions(spec: ScenarioSpec, cluster, scale: float, feeders) -> lis
 
             add(change.time, repace)
 
-    chaos = cluster.chaos
     baseline = spec.baseline_loss
     for fault in spec.faults.faults:
         if isinstance(fault, LossWindow):
-            add(fault.time, lambda f=fault: chaos.set_loss(BernoulliLoss(f.p)))
-            add(fault.time + fault.duration, lambda: chaos.set_loss(baseline))
+            add(fault.time, lambda f=fault: target.chaos.set_loss(BernoulliLoss(f.p)))
+            add(fault.time + fault.duration, lambda: target.chaos.set_loss(baseline))
         elif isinstance(fault, LinkLossWindow):
-            add(fault.time, lambda f=fault: chaos.set_link_loss(f.matrix))
-            add(fault.time + fault.duration, lambda: chaos.set_link_loss(None))
+            add(fault.time, lambda f=fault: target.chaos.set_link_loss(f.matrix))
+            add(fault.time + fault.duration, lambda: target.chaos.set_link_loss(None))
         elif isinstance(fault, PartitionWindow):
             add(
                 fault.time,
-                lambda f=fault: chaos.partition([list(g) for g in f.groups]),
+                lambda f=fault: target.chaos.partition([list(g) for g in f.groups]),
             )
-            add(fault.time + fault.duration, chaos.heal)
+            add(fault.time + fault.duration, lambda: target.chaos.heal())
         elif isinstance(fault, AsymmetricPartitionWindow):
             add(
                 fault.time,
-                lambda f=fault: chaos.partition_oneway(
+                lambda f=fault: target.chaos.partition_oneway(
                     [list(g) for g in f.groups], f.blocked
                 ),
             )
-            add(fault.time + fault.duration, chaos.heal_oneway)
+            add(fault.time + fault.duration, lambda: target.chaos.heal_oneway())
         elif isinstance(fault, BandwidthCapWindow):
-            # the chaos cap clock ticks in spec seconds (bound by
-            # from_scenario), so the spec's msg-per-spec-second rate
-            # applies unchanged — same per-second budget granularity as
-            # the simulator's network, not just the same average
-            add(fault.time, lambda f=fault: chaos.set_bandwidth_cap(f.rate))
-            add(fault.time + fault.duration, lambda: chaos.set_bandwidth_cap(None))
+            # the chaos cap clock ticks in spec seconds (bound by the
+            # driver), so the spec's msg-per-spec-second rate applies
+            # unchanged — same per-second budget granularity as the
+            # simulator's network, not just the same average
+            add(fault.time, lambda f=fault: target.chaos.set_bandwidth_cap(f.rate))
+            add(
+                fault.time + fault.duration,
+                lambda: target.chaos.set_bandwidth_cap(None),
+            )
         elif isinstance(fault, CrashWindow):
 
             def crash(f=fault):
                 for node in f.nodes:
-                    cluster.crash_node(node)
+                    target.crash_node(node)
 
             add(fault.time, crash)
             if fault.restart_at is not None:
 
                 def restart(f=fault):
                     for node in f.nodes:
-                        cluster.join_node(node)
+                        target.join_node(node)
 
                 add(fault.restart_at, restart)
-        # unknown kinds are reported by threaded_coverage as skipped
+        else:
+            not_lowered.append(fault)
 
-    dispatch = {
-        "join": cluster.join_node,
-        "leave": cluster.leave_node,
-        "crash": cluster.crash_node,
+    churn = {
+        "join": lambda node: target.join_node(node),
+        "leave": lambda node: target.leave_node(node),
+        "crash": lambda node: target.crash_node(node),
     }
     for event in spec.churn.sorted_events():
-        add(event.time, lambda fn=dispatch[event.action], n=event.node: fn(n))
+        add(event.time, lambda fn=churn[event.action], n=event.node: fn(n))
 
     actions.sort(key=lambda entry: (entry[0], entry[1]))
-    return actions
+    return actions, not_lowered
 
 
 def run_scenario_threaded(
@@ -401,7 +410,7 @@ def run_scenario_threaded(
     injected, skipped = threaded_coverage(spec)
 
     feeders = [_Feeder(sender, scale, spec.seed) for sender in spec.senders]
-    actions = _threaded_actions(spec, cluster, scale, feeders)
+    actions, _ = lower_timed_conditions(spec, cluster, scale, feeders)
     offers = 0
     next_action = 0
 

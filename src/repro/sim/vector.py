@@ -460,7 +460,9 @@ class VectorRoundExecutor:
         self._order_dirty = False
         self._alive = set(range(n_nodes))
         # the same per-node streams the per-node path draws from
-        self._getrandbits = self._build_streams()
+        self._getrandbits = [
+            sim.rngs.stream("protocol", i).getrandbits for i in range(n_nodes)
+        ]
         # global event columns (index = event ordinal)
         self._eids: list[EventId] = []
         self._birth: list[int] = []
@@ -514,20 +516,6 @@ class VectorRoundExecutor:
             return self._np.zeros(self.n, dtype=self._np.int64)
         return [0] * self.n
 
-    def _build_streams(self):
-        """Per-node sampling streams (``getrandbits`` bound methods).
-
-        The parallel lane overrides this to return ``None``: its workers
-        own the per-node streams (recreated from the root seed), and the
-        parent never draws from them.
-        """
-        return [
-            self.sim.rngs.stream("protocol", i).getrandbits for i in range(self.n)
-        ]
-
-    def close(self) -> None:
-        """Release executor-owned resources. No-op on the in-process lane."""
-
     # ------------------------------------------------------------------
     # the round tick
     # ------------------------------------------------------------------
@@ -550,10 +538,6 @@ class VectorRoundExecutor:
             return
         m = a - 1
         k = self._fanout if self._fanout < m else m
-        if k > 0:
-            # hand the sampling work to any helper lane *before* the
-            # bookkeeping below, so it overlaps (no-op on this executor)
-            self._dispatch_sampling(order, a, m, k)
         buf = self._buf
         st_rounds = self._st_rounds
         st_sent = self._st_sent
@@ -611,16 +595,6 @@ class VectorRoundExecutor:
         sim.post(
             self._delay, self._deliver_instant, list(order), rows, sizes, unsat_snap, n_sched
         )
-
-    def _dispatch_sampling(self, order, a: int, m: int, k: int) -> None:
-        """Hook: start this tick's target sampling on a helper lane.
-
-        Called as soon as the tick's ``(order, a, m, k)`` are fixed and
-        before the per-node bookkeeping (round counters, sizes, gauges),
-        so an overriding lane can overlap sampling with that work. The
-        in-process executor samples synchronously in
-        :meth:`_sample_rows` instead.
-        """
 
     def _sample_rows(self, order, a: int, m: int, k: int) -> list[list[int]]:
         """Sample every emitter's gossip targets for this tick.

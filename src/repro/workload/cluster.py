@@ -50,11 +50,6 @@ from repro.sim.vector import (
     mega_schedule_reason,
     vector_eligible,
 )
-from repro.sim.vector_parallel import (
-    ParallelVectorExecutor,
-    parallel_ineligible_reason,
-    resolve_shards,
-)
 from repro.workload.senders import PeriodicArrivals, Sender
 
 __all__ = ["ClusterNode", "SimCluster", "make_protocol_factory", "ProtocolFactory"]
@@ -214,16 +209,6 @@ class SimCluster(Driver):
     vector_numpy:
         Force the vector lane's numpy fast path on/off; ``None``
         auto-detects. Results are identical either way.
-    shards:
-        Worker-process count for the multicore vector lane
-        (:class:`~repro.sim.vector_parallel.ParallelVectorExecutor`).
-        ``None``/``1`` keep the single-core vector lane, ``0`` resolves
-        to ``cores - 1``, and ``>= 2`` shards the sampling hot loop
-        across that many persistent worker processes — byte-identical
-        at any shard count. When the parallel lane cannot engage (no
-        numpy, fewer nodes than shards, or the vector lane itself fell
-        back) the run proceeds single-core and
-        ``parallel_fallback_reason`` says why.
     """
 
     def __init__(
@@ -246,7 +231,6 @@ class SimCluster(Driver):
         aggregate_metrics: bool = False,
         allow_mega: bool = True,
         vector_numpy: Optional[bool] = None,
-        shards: Optional[int] = None,
     ) -> None:
         super().__init__(
             n_nodes,
@@ -279,9 +263,6 @@ class SimCluster(Driver):
         # classic modes) materialises real per-node protocol instances,
         # for which vector dispatch is identical to batched.
         self.vector: Optional[VectorRoundExecutor] = None
-        self.parallel_fallback_reason: Optional[str] = None
-        self.shards = 1  # effective sampling-worker count
-        resolved_shards = resolve_shards(shards)
         if dispatch == "vector" and vector_eligible(
             protocol=protocol,
             membership=membership,
@@ -294,49 +275,20 @@ class SimCluster(Driver):
             n_nodes=n_nodes,
             allow_mega=allow_mega,
         ):
-            if resolved_shards >= 2:
-                reason = parallel_ineligible_reason(
-                    shards=resolved_shards,
-                    n_nodes=n_nodes,
-                    vector_numpy=vector_numpy,
-                )
-                if reason is None:
-                    self.shards = resolved_shards
-                else:
-                    self.parallel_fallback_reason = reason
-            if self.shards >= 2:
-                self.vector = ParallelVectorExecutor(
-                    self.sim,
-                    self.network,
-                    self.metrics,
-                    self.system,
-                    n_nodes,
-                    resolved_latency,
-                    self.rounds,
-                    sample_gauges=sample_gauges,
-                    use_numpy=vector_numpy,
-                    shards=self.shards,
-                )
-            else:
-                self.vector = VectorRoundExecutor(
-                    self.sim,
-                    self.network,
-                    self.metrics,
-                    self.system,
-                    n_nodes,
-                    resolved_latency,
-                    self.rounds,
-                    sample_gauges=sample_gauges,
-                    use_numpy=vector_numpy,
-                )
+            self.vector = VectorRoundExecutor(
+                self.sim,
+                self.network,
+                self.metrics,
+                self.system,
+                n_nodes,
+                resolved_latency,
+                self.rounds,
+                sample_gauges=sample_gauges,
+                use_numpy=vector_numpy,
+            )
             self.nodes.update(self.vector.nodes)
             self._log_size()
         else:
-            if resolved_shards >= 2:
-                self.parallel_fallback_reason = (
-                    f"shards={resolved_shards} needs the vector lane, which "
-                    "did not engage"
-                )
             for node_id in range(n_nodes):
                 self._spawn_node(node_id)
 
@@ -561,14 +513,10 @@ class SimCluster(Driver):
         self.sim.run(until=self.sim.now + duration)
 
     def close(self) -> None:
-        """Release driver-owned resources (idempotent).
+        """No-op: the simulator owns no processes, files or sockets.
 
-        On the multicore vector lane this stops the sampling workers and
-        unlinks their shared-memory block; all metrics and stats remain
-        readable afterwards (the parent owns every column).
+        Kept so callers can close any driver the same way.
         """
-        if self.vector is not None:
-            self.vector.close()
 
     def _log_size(self) -> None:
         self._size_log.append((self.sim.now, len(self.directory)))

@@ -56,11 +56,22 @@ def test_scenario_identical_vector_vs_batched(name):
     _assert_results_identical(batched, vector)
 
 
-def test_mega_flood_engages_the_columnar_lane():
-    """mega-flood routes onto the mega lane even at test scale (it is
-    the regime the lane accelerates); the parity test above would be
-    vacuous for it otherwise."""
-    spec = get_scenario("mega-flood", _MATRIX_PROFILE)
+@pytest.mark.parametrize(
+    "name",
+    [
+        "mega-flood",
+        "mega-correlated-loss",
+        "mega-partition-heal",
+        "mega-catastrophic-crash",
+        "mega-flaky-edge",
+        "giga-flood",
+    ],
+)
+def test_mega_family_engages_the_columnar_lane(name):
+    """The mega family and giga-flood route onto the mega lane even at
+    test scale (it is the regime the lane accelerates); the parity test
+    above would be vacuous for them otherwise."""
+    spec = get_scenario(name, _MATRIX_PROFILE)
     cluster = build_cluster(spec_for_scenario(spec, dispatch="vector"))
     assert cluster.vector is not None
 
