@@ -27,14 +27,29 @@ regime:
   ``sync_ages`` is a global no-op, age-out is simultaneous everywhere,
   and per-(node, event) age state reduces to membership plus an arrival
   sequence;
-* target sampling and per-delivery loss are the only RNG consumers.
-  Sampling is replicated index-only, draw for draw, against the same
-  per-node ``("protocol", i)`` streams
-  (:func:`~repro.sim.rng.uniform_sample` over a full view); loss draws
-  are replayed against the same ``("network",)`` stream in the same
-  per-message order the network would consume them — vectorized into one
-  numpy block per tick when the model is Bernoulli, sequentially via
-  ``loss.is_lost`` otherwise, byte-identical either way;
+* target sampling is the only reader of the per-node ``("protocol", i)``
+  streams on this lane, and it replays the per-node path index-only,
+  draw for draw (:func:`~repro.sim.rng.sample_indices`, the sampler
+  under :func:`~repro.sim.rng.uniform_sample`, over a full view). The
+  stdlib twin calls each stream's ``getrandbits`` directly. The numpy
+  twin hands all ``n`` streams to one :class:`~repro.sim.rng.WordBank`,
+  which prefetches their raw 32-bit outputs and from then on is the
+  **sole reader**: every branch of the sampler — the bulk set branch,
+  the small-group pool branch, the redone rows — draws through the
+  bank, because a stream read behind the bank's back is up to two
+  blocks ahead of where the per-node path would be (a group shrinking
+  across CPython's 21-peer pool threshold mid-run is the case that
+  catches it). Nothing else may call ``sim.rngs.stream("protocol", i)``
+  on a vector cluster; ``WordBank.export(i)`` rebuilds that stream as
+  the per-node path would have left it, and a future consumer (the
+  adaptive ``ρ`` draw is two words) must take its words from the bank's
+  reader. The bank is word-level because one MT19937 output is the unit
+  every ``Random`` method consumes, whatever the draw width;
+* per-delivery loss is the only reader of the ``("network",)`` stream:
+  draws are replayed in the same per-message order the network would
+  consume them — vectorized into one numpy block per tick when the
+  model is Bernoulli and no message rides a flaky link, sequentially
+  via ``loss.is_lost`` otherwise, byte-identical either way;
 * the network's multicast rule order (partition → one-way cut → route →
   bandwidth cap → loss → per-link loss, then one constant delay) is
   replicated per message without routing anything through the heap, and
@@ -59,9 +74,9 @@ crashes, brand-new identities and off-tick restarts stay per-node (see
 variants and partial views.
 
 The optional ``numpy`` fast path (``pip install .[accel]``) vectorises
-the per-instant delivery fold and the Bernoulli loss draws; it is
-auto-detected and produces results identical to the stdlib path (a
-property test asserts this). Per-message sequential folding remains as
+target sampling, the per-instant delivery fold and the Bernoulli loss
+draws; it is auto-detected and produces results identical to the stdlib
+path (a property test asserts this). Per-message sequential folding remains as
 the in-module reference and handles the rare instants the batched fold
 cannot prove safe (dedup-store pressure, mid-instant evictions, crashes
 with messages in flight).
@@ -71,7 +86,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from typing import Any, Optional
 
 from repro.gossip.events import EventId
@@ -86,6 +100,7 @@ from repro.sim.faults import (
 )
 from repro.sim.network import BernoulliLoss, ConstantLatency, Network, NoLoss
 from repro.sim.engine import RoundDispatcher, Simulator
+from repro.sim.rng import WordBank, sample_indices
 
 try:  # optional accelerator — stdlib-only installs work unchanged
     import numpy as _np
@@ -335,6 +350,25 @@ def vector_eligible(
     )
 
 
+# A tick's targets travel in one of two shapes: one (emitters, fanout)
+# array when the word bank sampled them and no fault rule dropped any, a
+# list of targets per emitter otherwise (the stdlib twin, the no-draw
+# full view, any tick chaos thinned out).
+def _as_lists(rows) -> list[list[int]]:
+    return rows if isinstance(rows, list) else rows.tolist()
+
+
+def _flatten(rows):
+    """``(targets, targets per emitter)`` of a tick as two flat arrays."""
+    if isinstance(rows, list):
+        lens = _np.fromiter(map(len, rows), dtype=_np.intp, count=len(rows))
+        flat = _np.fromiter(
+            itertools.chain.from_iterable(rows), dtype=_np.intp, count=int(lens.sum())
+        )
+        return flat, lens
+    return rows.ravel(), _np.full(rows.shape[0], rows.shape[1], dtype=_np.intp)
+
+
 class _VectorBuffer:
     """``len()``/capacity view over one node's column of the executor."""
 
@@ -459,10 +493,14 @@ class VectorRoundExecutor:
         self._order = list(range(n_nodes))
         self._order_dirty = False
         self._alive = set(range(n_nodes))
-        # the same per-node streams the per-node path draws from
-        self._getrandbits = [
-            sim.rngs.stream("protocol", i).getrandbits for i in range(n_nodes)
-        ]
+        # the same per-node streams the per-node path draws from; the
+        # numpy twin reads them through a word bank, which owns them
+        if self._np is not None:
+            self._bank = WordBank(sim.rngs, "protocol", n_nodes)
+        else:
+            self._getrandbits = [
+                sim.rngs.stream("protocol", i).getrandbits for i in range(n_nodes)
+            ]
         # global event columns (index = event ordinal)
         self._eids: list[EventId] = []
         self._birth: list[int] = []
@@ -596,56 +634,31 @@ class VectorRoundExecutor:
             self._delay, self._deliver_instant, list(order), rows, sizes, unsat_snap, n_sched
         )
 
-    def _sample_rows(self, order, a: int, m: int, k: int) -> list[list[int]]:
+    def _sample_rows(self, order, a: int, m: int, k: int):
         """Sample every emitter's gossip targets for this tick.
 
         Index-only replica of uniform_sample over each node's full view:
         peers are the alive order minus the owner, so peer index v maps
         to order[v] (v < pi) or order[v + 1] (v >= pi). Draws match
-        rng.sample exactly.
+        rng.sample exactly. The numpy twin returns one ``(a, k)`` array
+        drawn in bulk from the word bank; the stdlib twin and the
+        no-draw case return a list per emitter.
         """
-        getrandbits = self._getrandbits
-        rows: list[list[int]] = [[]] * a
         if k >= m:
             # count >= len(peers): the full view returns every peer,
             # consuming no draws at all
-            for pi in range(a):
-                rows[pi] = order[:pi] + order[pi + 1 :]
-        else:
-            setsize = 21  # stdlib heuristic: set cost vs copying the pool
-            if k > 5:
-                setsize += 4 ** math.ceil(math.log(k * 3, 4))
-            if m <= setsize:
-                base_pool = list(range(m))
-                for pi in range(a):
-                    grb = getrandbits[order[pi]]
-                    pool = base_pool.copy()
-                    row = [0] * k
-                    for t in range(k):
-                        bound = m - t
-                        bits = bound.bit_length()
-                        j = grb(bits)
-                        while j >= bound:
-                            j = grb(bits)
-                        v = pool[j]
-                        pool[j] = pool[bound - 1]
-                        row[t] = order[v] if v < pi else order[v + 1]
-                    rows[pi] = row
-            else:
-                bits = m.bit_length()
-                for pi in range(a):
-                    grb = getrandbits[order[pi]]
-                    selected: set[int] = set()
-                    add = selected.add
-                    row = [0] * k
-                    for t in range(k):
-                        j = grb(bits)
-                        while j >= m or j in selected:
-                            j = grb(bits)
-                        add(j)
-                        row[t] = order[j] if j < pi else order[j + 1]
-                    rows[pi] = row
-        return rows
+            return [order[:pi] + order[pi + 1 :] for pi in range(a)]
+        np_ = self._np
+        if np_ is None:
+            getrandbits = self._getrandbits
+            return [
+                [order[v] if v < pi else order[v + 1] for v in sample_indices(getrandbits[i], m, k)]
+                for pi, i in enumerate(order)
+            ]
+        emitters = np_.asarray(order, dtype=np_.intp)
+        peers = self._bank.sample_indices(emitters, m, k)
+        peers += peers >= np_.arange(a)[:, None]
+        return emitters[peers]
 
     def _chaos_filter(self, order, rows):
         """Apply the network's live fault state to this tick's emissions.
@@ -659,7 +672,13 @@ class VectorRoundExecutor:
         cap budget depends only on prior deterministic outcomes (cap
         precedes loss per message, and a lost message still consumed its
         budget) and the loss draws are the only RNG consumers.
+
+        The rules filter per-emitter lists. A tick the bank sampled as
+        one array is only unpacked for a rule that is live, and gets the
+        array back when every message survived, so the fold keeps its
+        rectangle.
         """
+        sampled = rows
         net = self._network
         ns = self.net_stats
         partition_of = net._partition_of
@@ -669,6 +688,7 @@ class VectorRoundExecutor:
         cap_on = net._cap.rate is not None
         if pget is not None or oget is not None or cap_on:
             cap_exceeded = net._cap_exceeded
+            rows = _as_lists(rows)
             filtered: list[list[int]] = []
             for pi, row in enumerate(rows):
                 src = order[pi]
@@ -691,31 +711,36 @@ class VectorRoundExecutor:
         loss = net._loss
         lossless = type(loss) is NoLoss
         link_loss = net._link_loss
+        if link_loss is not None:
+            # link matrices are sparse: on a tick where no message rides a
+            # listed link the rule neither draws nor drops, which leaves
+            # the tick to the bulk (or the draw-free) path
+            flaky = {src for src, _dst in link_loss}
+            if not any(
+                (src, dst) in link_loss
+                for pi, src in enumerate(order)
+                if src in flaky
+                for dst in rows[pi]
+            ):
+                link_loss = None
         if not lossless or link_loss is not None:
             rng = net._rng
-            if (
-                self._np is not None
-                and link_loss is None
-                and type(loss) is BernoulliLoss
-            ):
+            np_ = self._np
+            if np_ is not None and link_loss is None and type(loss) is BernoulliLoss:
                 # one bulk block of doubles for the whole tick, replayed
                 # against (and written back to) the stdlib stream state
-                total = sum(map(len, rows))
-                if total:
-                    lost = (self._bulk_random(rng, total) < loss.p).tolist()
-                    filtered = []
-                    base = 0
-                    for row in rows:
-                        kept = [
-                            dst
-                            for off, dst in enumerate(row)
-                            if not lost[base + off]
-                        ]
-                        ns.lost += len(row) - len(kept)
-                        base += len(row)
-                        filtered.append(kept)
-                    rows = filtered
+                flat, lens = _flatten(rows)
+                if flat.size:
+                    keep = self._bulk_random(rng, flat.size) >= loss.p
+                    n_lost = flat.size - int(np_.count_nonzero(keep))
+                    if n_lost:
+                        ns.lost += n_lost
+                        row_of = np_.repeat(np_.arange(lens.size), lens)
+                        ends = np_.cumsum(np_.bincount(row_of[keep], minlength=lens.size)).tolist()
+                        flat = flat[keep].tolist()
+                        rows = [flat[s:e] for s, e in zip([0] + ends, ends)]
             else:
+                rows = _as_lists(rows)
                 filtered = []
                 for pi, row in enumerate(rows):
                     src = order[pi]
@@ -733,25 +758,29 @@ class VectorRoundExecutor:
                         keep(dst)
                     filtered.append(kept)
                 rows = filtered
-        return rows, sum(map(len, rows))
+        if not isinstance(rows, list):
+            return rows, rows.size
+        n_sched = sum(map(len, rows))
+        if not isinstance(sampled, list) and n_sched == sampled.size:
+            rows = sampled
+        return rows, n_sched
 
     def _bulk_random(self, rng, count: int):
-        """``count`` doubles from ``rng`` via numpy, byte-identical.
+        """``count`` doubles from ``rng`` in one call, byte-identical.
 
-        Mirrors the Mersenne Twister state into a
-        ``numpy.random.RandomState`` (same genrand_res53 double path: two
-        uint32 draws per double), pulls one block, and writes the
-        advanced state back so subsequent stdlib draws continue the
-        stream exactly where a per-message loop would have left it.
+        ``rng.random()`` is genrand_res53: two 32-bit outputs ``a, b``
+        combined as ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, every step
+        exact in a double. One ``getrandbits`` call yields the same
+        outputs in the same order (least-significant word first) and
+        leaves the stream exactly where ``count`` per-message calls
+        would have.
         """
-        np_ = self._np
-        version, state, gauss = rng.getstate()
-        rs = np_.random.RandomState()
-        rs.set_state(("MT19937", np_.array(state[:-1], dtype=np_.uint32), state[-1]))
-        out = rs.random_sample(count)
-        _, keys, pos = rs.get_state()[:3]
-        rng.setstate((version, tuple(int(x) for x in keys) + (int(pos),), gauss))
-        return out
+        words = self._np.frombuffer(
+            rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4"
+        )
+        return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (
+            1.0 / 9007199254740992.0
+        )
 
     def _age_out(self, now: float) -> None:
         expired = self._by_birth.pop(self._round - self._max_age - 1, None)
@@ -810,19 +839,21 @@ class VectorRoundExecutor:
             self.net_stats.delivered += n_sched
             self._fold_batched(emitters, rows, sizes, unsat_snap, now)
         else:
-            self._fold_sequential(emitters, rows, now)
+            self._fold_sequential(emitters, _as_lists(rows), now)
 
     def _fold_batched(self, emitters, rows, sizes, unsat_snap, now: float) -> None:
         np_ = self._np
         n = self.n
         a = len(emitters)
-        lens = np_.fromiter(map(len, rows), dtype=np_.intp, count=a)
-        total = int(lens.sum())
-        if not total:
+        tflat, lens = _flatten(rows)
+        if not tflat.size:
             return
-        tflat = np_.fromiter(
-            itertools.chain.from_iterable(rows), dtype=np_.intp, count=total
-        )
+        ragged = isinstance(rows, list)
+        if ragged:
+            starts = np_.empty(a, dtype=np_.intp)
+            starts[0] = 0
+            if a > 1:
+                np_.cumsum(lens[:-1], out=starts[1:])
         counts = np_.bincount(tflat, minlength=n)
         items = np_.bincount(
             tflat,
@@ -830,10 +861,6 @@ class VectorRoundExecutor:
             minlength=n,
         )
         self._st_received += counts
-        starts = np_.empty(a, dtype=np_.intp)
-        starts[0] = 0
-        if a > 1:
-            np_.cumsum(lens[:-1], out=starts[1:])
         # emission positions, not node ids: under churn the alive order is
         # no longer sorted, and arrival order (who delivers first, the
         # fold order per receiver) follows emission positions
@@ -857,16 +884,19 @@ class VectorRoundExecutor:
         for e, holders in unsat_snap:
             ep = pos_of[holders]
             el = lens[ep]
-            cand_parts = [
-                tflat[s : s + ln]
-                for s, ln in zip(starts[ep].tolist(), el.tolist())
-                if ln
-            ]
-            if not cand_parts:
-                continue
-            cand = (
-                np_.concatenate(cand_parts) if len(cand_parts) > 1 else cand_parts[0]
-            )
+            if ragged:
+                cand_parts = [
+                    tflat[s : s + ln]
+                    for s, ln in zip(starts[ep].tolist(), el.tolist())
+                    if ln
+                ]
+                if not cand_parts:
+                    continue
+                cand = (
+                    np_.concatenate(cand_parts) if len(cand_parts) > 1 else cand_parts[0]
+                )
+            else:
+                cand = rows[ep].ravel()
             mask = ~K[e][cand]
             if not mask.any():
                 continue

@@ -24,7 +24,8 @@ different recording order.
 
 import dataclasses
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import AdaptiveConfig
@@ -216,6 +217,23 @@ def _chaos_cluster(cfg: dict, dispatch: str, vector_numpy=None) -> SimCluster:
 
 @settings(max_examples=12, deadline=None)
 @given(cfg=chaos_configs)
+# the crash takes the group from 22 peers (CPython's set branch, drawn in
+# bulk from the word bank) to 21 (the pool branch): both must read the
+# same banked stream, or the pool branch starts a block ahead
+@example(
+    cfg={
+        "n_nodes": 23,
+        "fanout": 2,
+        "buffer_capacity": 4,
+        "max_age": 3,
+        "rate": 2.0,
+        "seed": 0,
+        "loss": None,
+        "loss_window": None,
+        "partition": None,
+        "crash": (1.0, 1, None),
+    }
+)
 def test_chaos_lane_matches_batched(cfg):
     batched = _chaos_cluster(cfg, "batched")
     vector = _chaos_cluster(cfg, "vector")
@@ -230,6 +248,52 @@ def test_chaos_lane_numpy_matches_stdlib(cfg):
     stdlib = _chaos_cluster(cfg, "vector", vector_numpy=False)
     assert auto.vector is not None and stdlib.vector is not None
     assert _fingerprint(auto) == _fingerprint(stdlib)
+
+
+def test_numpy_twin_matches_stdlib_through_lists_arrays_and_refills():
+    """One run long and wide enough for every shape a tick's targets take
+    on the numpy twin: one array from the word bank (most ticks), lists
+    once the partition drops something, the reordered alive list after
+    the crash and the restart — over 45 rounds, seven or eight bank
+    refills per node. The banked streams must end where the stdlib twin's do."""
+    pytest.importorskip("numpy")
+    n = 240
+
+    def run(vector_numpy):
+        cluster = SimCluster(
+            n_nodes=n,
+            system=SystemConfig(
+                fanout=4,
+                gossip_period=1.0,
+                buffer_capacity=12,
+                dedup_capacity=DEDUP,
+                max_age=6,
+                round_jitter=0.0,
+                round_phase=0.0,
+            ),
+            protocol="lpbcast",
+            seed=16,
+            latency=ConstantLatency(0.01),
+            dispatch="vector",
+            vector_numpy=vector_numpy,
+        )
+        cluster.add_senders([0, n // 2], rate_each=1.5)
+        script = FaultScript()
+        script.partition(8.0, 4.0, [list(range(0, n // 2)), list(range(n // 2, n))])
+        script.crash(20.5, tuple(range(n - 30, n)), 31)
+        cluster.apply_faults(script)
+        cluster.run(until=45.0)
+        return cluster
+
+    auto, stdlib = run(True), run(False)
+    assert auto.vector is not None and stdlib.vector is not None
+    assert auto.network.stats.partitioned > 0
+    assert _fingerprint(auto) == _fingerprint(stdlib)
+    for i in range(n):
+        assert (
+            auto.vector._bank.export(i).getstate()
+            == stdlib.sim.rngs.stream("protocol", i).getstate()
+        ), i
 
 
 # ----------------------------------------------------------------------
