@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""The implementation half of the paper's methodology: real threads,
-real sockets, and a deliberately hostile network.
+"""The implementation half of the paper's methodology: real time, real
+sockets, and a deliberately hostile network.
 
 The paper validated its simulations with a Java prototype on 60 LAN
 workstations — machines that dropped, delayed and occasionally
-partitioned traffic. This example runs the *same protocol objects*
-under the threaded real-time runtime over real UDP sockets, with the
-chaos transport layer injecting what the simulator scripts: 5%
-Bernoulli datagram loss, jittered link latency, and (when run long
-enough) a clean two-way partition that later heals. Declarative
+partitioned traffic. This example runs the *same protocol objects* on
+the live host — every node on one event loop, which the cluster runs on
+a background thread, each node with its own real UDP socket — while a
+shared chaos rule set decides every send the way the simulator scripts
+it: 5% Bernoulli datagram loss, jittered link latency, and (when run
+long enough) a clean two-way partition that later heals. Declarative
 scenarios lower the same way: ``python -m repro.experiments
 run-scenario partition-heal --driver threaded``.
 
@@ -25,8 +26,8 @@ N = 12
 
 
 def main(seconds: int = 6) -> None:
-    # the rule set is shared by every endpoint and mutable mid-run —
-    # exactly how scenario fault windows drive a threaded cluster
+    # the rule set is shared by every node and mutable mid-run, from
+    # this thread — exactly how scenario fault windows drive the host
     rules = ChaosRules(
         loss=BernoulliLoss(0.05),
         latency=UniformLatency(0.002, 0.02),
@@ -48,7 +49,7 @@ def main(seconds: int = 6) -> None:
 
     cluster.start()
     print(f"{N} nodes gossiping over UDP localhost, period 100 ms;")
-    print("chaos transport: 5% datagram loss, 2-20 ms link latency\n")
+    print("chaos rules: 5% datagram loss, 2-20 ms link latency\n")
 
     def pump(label: str, duration: float) -> None:
         """Offer ~30 msg/s through node 0 while printing its view."""
@@ -78,7 +79,7 @@ def main(seconds: int = 6) -> None:
     received = [cluster.protocol_of(n).stats.events_delivered for n in range(N)]
     stats = rules.stats
     print(f"\nevents delivered per node: min={min(received)} max={max(received)}")
-    print(f"chaos layer: {stats.sent} datagrams passed, {stats.dropped} lost, "
+    print(f"chaos rules: {stats.sent} datagrams passed, {stats.dropped} lost, "
           f"{stats.blocked} blocked by the partition, {stats.delayed} delayed")
     print("Same protocol code as the simulator — only the driver (and its "
           "weather) changed.")

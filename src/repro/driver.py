@@ -7,22 +7,21 @@ exist and both subclass :class:`Driver`:
 
 * :class:`repro.workload.cluster.SimCluster` — the discrete-event
   simulator (virtual time, deterministic);
-* :class:`repro.runtime.cluster.ThreadedCluster` — the threaded
-  real-time prototype (wall time, real transports).
+* :class:`repro.runtime.cluster.ThreadedCluster` — the live host: the
+  real-time prototype's nodes on one event loop (wall time, a memory
+  hop or real UDP sockets).
 
 The base class owns everything the two used to duplicate: protocol
 factory resolution, the shared membership :class:`Directory`, the
 :class:`MetricsCollector` and its per-node callback binding, and the
 common inspection surface (``group_size``, ``protocol_of``). Subclasses
-implement the execution substrate (:meth:`Driver.run_for`) and may
-override the callback binding (the threaded driver serialises metrics
-behind a lock).
+implement the execution substrate (:meth:`Driver.run_for`).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.core.aggregation import Aggregate
 from repro.core.config import AdaptiveConfig
@@ -158,6 +157,10 @@ class Driver(abc.ABC):
     aggregate_metrics:
         Run the collector in aggregate-only mode (per-event counts, no
         per-node receiver sets or gauges) — for very large groups.
+    members:
+        The initial members' ids when they are not ``0 .. n_nodes - 1``
+        (a standalone live node names itself and its peers); ``n_nodes``
+        is then ignored.
     """
 
     def __init__(
@@ -170,16 +173,19 @@ class Driver(abc.ABC):
         aggregate: Optional[Aggregate] = None,
         bucket_width: Optional[float] = None,
         aggregate_metrics: bool = False,
+        members: Optional[Iterable[Any]] = None,
     ) -> None:
-        if n_nodes < 2:
-            raise ValueError("need at least 2 nodes")
+        if members is None:
+            if n_nodes < 2:
+                raise ValueError("need at least 2 nodes")
+            members = range(n_nodes)
         self.system = system if system is not None else self._default_system()
         if bucket_width is None:
             bucket_width = self._default_bucket_width()
         self.metrics = MetricsCollector(
             bucket_width=bucket_width, aggregate=aggregate_metrics
         )
-        self.directory = Directory(range(n_nodes))
+        self.directory = Directory(members)
         if callable(protocol):
             self._factory: ProtocolFactory = protocol
         else:
@@ -238,19 +244,18 @@ class Driver(abc.ABC):
         on this driver.
 
         Both concrete drivers implement it: the simulator materialises
-        every schedule the spec carries; the threaded runtime applies
-        what real threads can honour (workload, capacity changes) and
-        reports what it skipped (see
-        :func:`repro.scenarios.runner.run_scenario_threaded`).
+        every schedule the spec carries; the live host compiles the same
+        schedule onto its event loop and reports what it could not lower
+        (see :func:`repro.scenarios.runner.run_scenario_threaded`).
         """
         raise NotImplementedError(f"{cls.__name__} cannot instantiate scenarios")
 
     @abc.abstractmethod
     def run_for(self, duration: float) -> None:
         """Advance the group by ``duration`` seconds of *its* time —
-        virtual for the simulator, wall-clock for the threaded runtime.
-        The simulator's is repeatable; the threaded driver's is one-shot
-        (its threads cannot restart after the teardown on return)."""
+        virtual for the simulator, wall-clock for the live host. The
+        simulator's is repeatable; the live host's is one-shot (its
+        sockets and event loop are released on return)."""
 
     @property
     def group_size(self) -> int:

@@ -200,13 +200,13 @@ def _run_list_scenarios(profile, args):
     """Names, summaries, and per-driver condition coverage.
 
     The simulator models every condition a spec can carry by
-    construction; the threaded driver's injected-vs-skipped split comes
-    from :func:`repro.scenarios.runner.threaded_coverage`, so a parity
-    regression (a condition the runtime stops lowering) is visible
+    construction; the live drivers' injected-vs-skipped split comes
+    from :func:`repro.scenarios.runner.live_coverage`, so a parity
+    regression (a condition the live host stops lowering) is visible
     right here without running anything.
     """
     from repro.scenarios.registry import get_scenario, list_scenarios
-    from repro.scenarios.runner import threaded_coverage
+    from repro.scenarios.runner import live_coverage
 
     rows = list_scenarios()
     width = max(len(name) for name, _ in rows)
@@ -214,26 +214,26 @@ def _run_list_scenarios(profile, args):
     scenarios = []
     for name, summary in rows:
         spec = get_scenario(name, profile)
-        injected, skipped = threaded_coverage(spec)
+        injected, skipped = live_coverage(spec)
         total = len(injected) + len(skipped)
         lines.append(f"{name:<{width}}  {summary}")
         if total == 0:
             coverage = "conditions: none (clean network, workload only)"
         else:
-            threaded = f"threaded injects {len(injected)}/{total}"
+            live = f"live injects {len(injected)}/{total}"
             if skipped:
-                threaded += f", skips {len(skipped)}"
-            coverage = f"conditions: {total} | sim injects all | {threaded}"
+                live += f", skips {len(skipped)}"
+            coverage = f"conditions: {total} | sim injects all | {live}"
         lines.append(f"{'':<{width}}  {coverage}")
         for item in skipped:
-            lines.append(f"{'':<{width}}    threaded skips: {item}")
+            lines.append(f"{'':<{width}}    live skips: {item}")
         scenarios.append(
             {
                 "name": name,
                 "summary": summary,
                 "conditions": total,
-                "threaded_injected": list(injected),
-                "threaded_skipped": list(skipped),
+                "live_injected": list(injected),
+                "live_skipped": list(skipped),
             }
         )
     return "\n".join(lines), {"scenarios": scenarios}

@@ -253,7 +253,7 @@ class LpbcastProtocol(GossipProtocol):
 
         Message-for-message identical to calling :meth:`on_receive` in
         order. Drivers that coalesce deliveries per instant (the
-        simulated network, the threaded runtime's queue drain) land
+        simulated network, the live runtime's inbox flush) land
         here. Subclasses that override :meth:`on_receive` are routed
         through their override, message by message.
         """

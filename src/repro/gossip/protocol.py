@@ -147,7 +147,7 @@ class GossipProtocol(abc.ABC):
         """Handle several queued messages arriving at one instant.
 
         Equivalent to calling :meth:`on_receive` per message in order;
-        drivers that drain receive queues in bulk (the threaded runtime)
+        drivers that drain receive queues in bulk (the live runtime)
         use this to amortise per-call overhead.
         """
         replies: list[Emission] = []

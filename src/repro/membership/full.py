@@ -20,9 +20,9 @@ __all__ = ["Directory", "FullMembershipView"]
 class Directory:
     """Registry of alive node ids with cheap change detection.
 
-    Thread-safe: the threaded runtime's fault scheduler joins and
-    removes members from its own thread while every node thread reads
-    the directory through its view, so mutation and the snapshot in
+    Thread-safe: callers of the live host may join and remove members
+    from their own thread while the host's loop thread reads the
+    directory through every view, so mutation and the snapshot in
     :meth:`alive` are serialised behind a lock. The hot path — views
     polling :attr:`version` to validate their cached peer list — is a
     lockless int read, so the simulator's single-threaded runs pay

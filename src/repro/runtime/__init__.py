@@ -3,24 +3,24 @@
 The paper validates its simulations with "a full implementation, based on
 Java 2 Standard Edition … deployed on 60 workstations". This package is
 that half of the methodology: the *same* sans-IO protocol objects used by
-the simulator, driven by wall-clock threads over a real transport.
+the simulator, driven in wall-clock time over a real hop.
 
+* :mod:`repro.runtime.cluster` — the one live host: every node of a
+  group, or of one shard, on one asyncio event loop run by a thread the
+  host owns, over an in-memory dict hop or real UDP sockets. All live
+  front doors below run it.
 * :mod:`repro.runtime.codec` — wire codecs (compact binary and JSON).
-* :mod:`repro.runtime.transport` — in-memory hub (tests, CI) and UDP
-  sockets (localhost deployments).
-* :mod:`repro.runtime.node` — the per-node thread: rounds, receive loop,
-  application offers.
-* :mod:`repro.runtime.cluster` — convenience builder running a whole
-  group in one process.
+* :mod:`repro.runtime.transport` — the chaos rule set every send
+  consults, and two reference endpoints (in-memory hub, UDP socket).
 * :mod:`repro.runtime.process_cluster` / :mod:`repro.runtime.worker` —
-  the shared-nothing multi-process driver: shard worker processes on
-  asyncio event loops over real UDP sockets, coordinated over control
-  pipes.
+  the shared-nothing multi-process driver: one host per worker process,
+  coordinated over control pipes.
+* :mod:`repro.runtime.standalone` — one node per OS process, the
+  paper's deployment shape in miniature.
 """
 
 from repro.runtime.codec import BinaryCodec, CodecError, JsonCodec
 from repro.runtime.cluster import ThreadedCluster
-from repro.runtime.node import RuntimeNode
 from repro.runtime.process_cluster import (
     ProcessCluster,
     ProcessRunResult,
@@ -32,7 +32,6 @@ from repro.runtime.worker import WorkerConfig, WorkerReport, worker_main
 from repro.runtime.transport import (
     ChaosRules,
     ChaosStats,
-    ChaosTransport,
     InMemoryHub,
     InMemoryTransport,
     Transport,
@@ -49,8 +48,6 @@ __all__ = [
     "UdpTransport",
     "ChaosRules",
     "ChaosStats",
-    "ChaosTransport",
-    "RuntimeNode",
     "ThreadedCluster",
     "ProcessCluster",
     "ProcessRunResult",

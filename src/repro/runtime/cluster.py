@@ -1,34 +1,57 @@
-"""Whole-group runner for the real-time runtime.
+"""The live host: every live driver's nodes on one asyncio event loop.
 
-:class:`ThreadedCluster` builds N :class:`~repro.runtime.node.RuntimeNode`
-threads over an in-memory hub or UDP sockets, wires a (lock-serialised)
-:class:`~repro.metrics.collector.MetricsCollector` into every protocol,
-and runs the group for a wall-clock duration — the in-process equivalent
-of the paper's 60-workstation deployment.
+:class:`ThreadedCluster` runs a gossip group — or one shard of it — in
+real time, the in-process equivalent of the paper's 60-workstation
+deployment. Each member is a :class:`LiveNode`: a round task fires
+``on_round_batch`` every jittered gossip period, received datagrams are
+folded into batched ``on_receive_batch`` calls, and application offers
+queue through the protocol's admission control, retried at every
+wake-up. Every node of the host shares one event loop, which the
+cluster runs on one background thread it owns; protocols, the metrics
+collector and the chaos decisions are only ever touched from that
+thread, so the hot path takes no lock. Calls from other threads
+(:meth:`~ThreadedCluster.broadcast`, :meth:`~ThreadedCluster.crash_node`,
+...) are marshalled onto the loop with ``call_soon_threadsafe``.
 
-Because this half of the methodology exists to *validate the simulator*,
-it reuses the exact protocol classes and metrics pipeline; the shared
-wiring lives in the common :class:`~repro.driver.Driver` base class, so
-only the execution substrate differs between this cluster and the
-discrete-event :class:`~repro.workload.cluster.SimCluster`.
+The hop between nodes is an in-memory dict for ``transport="memory"``
+(a send is ``loop.call_soon(dest.on_datagram, data)``, still encoded
+and decoded by the wire codec) and real non-blocking UDP sockets for
+``transport="udp"``. ``hosted`` and ``port_map`` let one cluster host a
+single shard of a group spread over processes
+(:mod:`repro.runtime.worker`) or a single standalone node
+(:mod:`repro.runtime.standalone`): the directory spans the whole group,
+protocols exist only for hosted identities, and every identity's
+address comes from the port map.
 
-Fault parity: endpoints can be wrapped in
-:class:`~repro.runtime.transport.ChaosTransport` (pass ``chaos=``, or
-let :meth:`ThreadedCluster.from_scenario` build the rule set from the
-scenario's topology/loss environment), membership may be partial
-(lpbcast views gossiped over the real wire), and nodes can crash,
-restart, join and leave while the group runs — the threaded
+Because this half of the methodology exists to *validate the
+simulator*, it reuses the exact protocol classes and metrics pipeline
+through the common :class:`~repro.driver.Driver` base class. Fault
+parity: a :class:`~repro.runtime.transport.ChaosRules` set (pass
+``chaos=``, or let :meth:`ThreadedCluster.from_scenario` build it from
+the scenario's network environment) decides every send with the
+sender's seeded stream, and delays ride ``loop.call_later``;
+membership may be partial (lpbcast views gossiped over the wire); and
+nodes crash, restart, join and leave while the group runs — the live
 counterparts of :class:`~repro.workload.cluster.SimCluster`'s
-``crash_node``/``join_node``/``leave_node``. The scenario fault
-scheduler (:func:`repro.scenarios.runner.run_scenario_threaded`) drives
-all of this on a shared wall clock.
+``crash_node``/``join_node``/``leave_node``. A scenario's feeders and
+timed conditions run on the same loop from :meth:`start` on.
+
+An exception raised inside the loop by a protocol callback or a
+scheduled condition fails the run: :meth:`~ThreadedCluster.wait`
+returns early and :meth:`~ThreadedCluster.stop` raises it, naming the
+node and the callback.
 """
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
+import dataclasses
+import socket
 import threading
 import time
-from typing import Any, Optional
+from random import Random
+from typing import Any, Iterable, Optional
 
 from repro.core.aggregation import Aggregate
 from repro.core.config import AdaptiveConfig
@@ -37,15 +60,219 @@ from repro.gossip.config import SystemConfig
 from repro.membership.full import FullMembershipView
 from repro.membership.views import PartialViewMembership, ViewConfig
 from repro.runtime.codec import BinaryCodec
-from repro.runtime.node import RuntimeNode
-from repro.runtime.transport import ChaosRules, ChaosTransport, InMemoryHub, UdpTransport
-from repro.sim.rng import RngRegistry
+from repro.runtime.transport import ChaosRules
+from repro.sim.rng import RngRegistry, derive_seed
 
-__all__ = ["ThreadedCluster"]
+__all__ = ["LiveNode", "ThreadedCluster"]
+
+POLL_CAP = 0.05  # longest a node sleeps between offer retries
+MAX_DATAGRAM = 65507
+
+
+class LiveNode:
+    """One gossip node on its host's event loop.
+
+    ``sock`` is the node's bound non-blocking UDP socket, or ``None`` on
+    the memory hop. Every method runs on the loop thread (or before the
+    loop starts, when nothing else can touch the node).
+    """
+
+    RECV_BATCH = 64  # datagrams folded per flush; more re-schedules the flush
+
+    def __init__(self, host: "ThreadedCluster", node_id: Any, protocol, sock=None) -> None:
+        self.host = host
+        self.node_id = node_id
+        self.protocol = protocol
+        self.sock = sock
+        self.alive = True
+        self.offers_admitted = 0
+        self.chaos_rng = Random(derive_seed(host.seed, "chaos", node_id))
+        self._inbox: list[bytes] = []
+        self._flush_scheduled = False
+        self._pending: list[Any] = []
+        self._round_task: Optional[asyncio.Task] = None
+
+    def is_alive(self) -> bool:
+        """Whether the node still runs (False once crashed or stopped)."""
+        return self.alive
+
+    def start(self) -> None:
+        if not self.alive or self._round_task is not None:
+            return
+        if self.sock is not None:
+            self.host._loop.add_reader(self.sock, self._on_readable)
+        self._round_task = self.host._task(
+            self._round_loop(), f"node {self.node_id!r} round task"
+        )
+
+    def stop(self) -> None:
+        """Silence the node: cancel its round, close its socket. Idempotent."""
+        if not self.alive:
+            return
+        self.alive = False
+        host = self.host
+        if host._routes.get(self.node_id) is self:
+            del host._routes[self.node_id]  # memory hop: peers' sends now fail
+        if self._round_task is not None:  # started: the loop knows the node
+            self._round_task.cancel()
+            if self.sock is not None:
+                host._loop.remove_reader(self.sock)
+        if self.sock is not None:
+            self.sock.close()
+        self._inbox.clear()
+        self._pending.clear()
+
+    def _fail(self, callback: str, exc: Exception) -> None:
+        self.host._fail(f"node {self.node_id!r}: {callback}", exc)
+        self.stop()
+
+    # ------------------------------------------------------------------
+    # application offers
+    # ------------------------------------------------------------------
+    def offer(self, payload: Any = None) -> None:
+        if self.alive:
+            self._pending.append(payload)
+            self._retry_offers(self.host.clock())
+
+    def _retry_offers(self, now: float) -> None:
+        pending = self._pending
+        try:
+            while pending:
+                event_id = self.protocol.try_broadcast(pending[0], now)
+                if event_id is None:
+                    return  # admission said not yet; retried next wake-up
+                pending.pop(0)
+                self.offers_admitted += 1
+                self.host.metrics.on_admitted(self.node_id, event_id, now)
+        except Exception as exc:
+            self._fail("try_broadcast", exc)
+
+    # ------------------------------------------------------------------
+    # receive path
+    # ------------------------------------------------------------------
+    def on_datagram(self, data: bytes) -> None:
+        if not self.alive:
+            return
+        self._inbox.append(data)
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            self.host._loop.call_soon(self._flush)
+
+    def _on_readable(self) -> None:
+        sock = self.sock
+        for _ in range(self.RECV_BATCH):
+            try:
+                data = sock.recv(MAX_DATAGRAM)
+            except OSError:  # drained (EAGAIN), or ICMP noise gossip tolerates
+                return
+            self.on_datagram(data)
+
+    def _flush(self) -> None:
+        self._flush_scheduled = False
+        if not self.alive:
+            return
+        inbox = self._inbox
+        batch = inbox[: self.RECV_BATCH]
+        del inbox[: self.RECV_BATCH]
+        if inbox:
+            self._flush_scheduled = True
+            self.host._loop.call_soon(self._flush)
+        host = self.host
+        decode = host.codec.decode
+        messages = []
+        for data in batch:
+            try:
+                messages.append(decode(data))
+            except Exception:  # malformed input must never kill the node
+                host.decode_errors += 1
+        if not messages:
+            return
+        try:
+            replies = self.protocol.on_receive_batch(messages, host.clock())
+        except Exception as exc:
+            self._fail("on_receive_batch", exc)
+            return
+        for dest, reply in replies:
+            self._send(dest, reply)
+
+    # ------------------------------------------------------------------
+    # round firing
+    # ------------------------------------------------------------------
+    async def _round_loop(self) -> None:
+        host = self.host
+        clock = host.clock
+        rng = self.protocol.rng
+        period = host.system.gossip_period
+        jitter = host.system.round_jitter
+        phase = host.system.round_phase
+        if phase is None:
+            phase = rng.uniform(0, period)
+        next_round = clock() + phase
+        while self.alive:
+            now = clock()
+            self._retry_offers(now)
+            if now < next_round:
+                await asyncio.sleep(min(next_round - now, POLL_CAP))
+                continue
+            try:
+                batch = self.protocol.on_round_batch(now)
+            except Exception as exc:
+                self._fail("on_round_batch", exc)
+                return
+            for dests, message in batch:
+                for dest in dests:
+                    self._send(dest, message)
+            p = period
+            if jitter:
+                p *= rng.uniform(1 - jitter, 1 + jitter)
+            next_round = now + p
+
+    # ------------------------------------------------------------------
+    # send path: the chaos decision sits exactly here, at the send
+    # ------------------------------------------------------------------
+    def _send(self, dest: Any, message: Any) -> None:
+        host = self.host
+        route = host._routes.get(dest)
+        if route is None:
+            host.send_failures += 1
+            return
+        # one encode per datagram, not per round: the perf ledger's layer
+        # replay takes its corpus from encode calls, one per datagram
+        rules = host.chaos
+        if rules is None:
+            self._put(route, host.codec.encode(message))
+            return
+        verdict = rules.plan(self.node_id, dest, self.chaos_rng)
+        if verdict is None:
+            return  # eaten: indistinguishable from wire loss
+        data = host.codec.encode(message)
+        if verdict > 0.0:
+            host._loop.call_later(verdict, self._send_late, dest, data)
+        elif self._put(route, data):
+            rules.note_sent()
+
+    def _send_late(self, dest: Any, data: bytes) -> None:
+        # a delayed datagram racing the sender's shutdown, or a receiver
+        # that left the memory hop meanwhile, is lost like on the wire
+        route = self.host._routes.get(dest)
+        if self.alive and route is not None and self._put(route, data):
+            self.host.chaos.note_sent()
+
+    def _put(self, route: Any, data: bytes) -> bool:
+        """One datagram onto the hop: a loop hand-off or a ``sendto``."""
+        if self.sock is None:
+            self.host._loop.call_soon(route.on_datagram, data)
+            return True
+        try:
+            self.sock.sendto(data, route)
+            return True
+        except OSError:
+            self.host.send_failures += 1
+            return False
 
 
 class ThreadedCluster(Driver):
-    """A gossip group running on real threads and a real transport.
+    """A gossip group (or one shard of it) live on one event-loop thread.
 
     Parameters
     ----------
@@ -57,16 +284,28 @@ class ThreadedCluster(Driver):
     protocol:
         ``"lpbcast"``, ``"static"`` or ``"adaptive"`` (or a factory).
     transport:
-        ``"memory"`` (default) or ``"udp"`` (localhost sockets).
+        ``"memory"`` (default: the in-process dict hop) or ``"udp"``
+        (one real socket per node).
     membership:
         ``"full"`` (shared directory, the paper's testbed setting) or
         ``"partial"`` (per-node lpbcast views, gossiped on the wire).
     chaos:
-        A :class:`~repro.runtime.transport.ChaosRules` value; when
-        given, every endpoint is wrapped in a
-        :class:`~repro.runtime.transport.ChaosTransport` seeded per node
-        from ``seed``, and the rule set may be mutated mid-run (fault
-        windows, partitions) from any thread.
+        A :class:`~repro.runtime.transport.ChaosRules` consulted on every
+        send with a per-node stream seeded from ``seed``; the rule set
+        may be mutated mid-run (fault windows, partitions) from any
+        thread.
+    hosted:
+        The identities this cluster runs (default: every identity, now
+        or later). The others are remote: in the directory, reached
+        through ``port_map``.
+    port_map:
+        ``transport="udp"`` only: node id -> ``(host, port)`` for every
+        identity the run can name. Hosted nodes bind their entry at
+        construction (an ``OSError`` means the port is taken); without
+        a map, each hosted node binds an ephemeral localhost port.
+    members:
+        Initial member ids other than ``0 .. n_nodes - 1`` (see
+        :class:`~repro.driver.Driver`).
     """
 
     def __init__(
@@ -83,7 +322,16 @@ class ThreadedCluster(Driver):
         membership: str = "full",
         view_size: Optional[int] = None,
         chaos: Optional[ChaosRules] = None,
+        hosted: Optional[Iterable[Any]] = None,
+        port_map: Optional[dict] = None,
+        members: Optional[Iterable[Any]] = None,
     ) -> None:
+        if transport not in ("memory", "udp"):
+            raise ValueError(f"unknown transport {transport!r}")
+        if membership not in ("full", "partial"):
+            raise ValueError(f"unknown membership kind {membership!r}")
+        if port_map is not None and transport != "udp":
+            raise ValueError("a port map needs transport='udp'")
         super().__init__(
             n_nodes,
             system=system,
@@ -91,49 +339,51 @@ class ThreadedCluster(Driver):
             adaptive=adaptive,
             rate_limit=rate_limit,
             aggregate=aggregate,
+            members=members,
         )
-        if transport not in ("memory", "udp"):
-            raise ValueError(f"unknown transport {transport!r}")
-        if membership not in ("full", "partial"):
-            raise ValueError(f"unknown membership kind {membership!r}")
         self.codec = codec if codec is not None else BinaryCodec()
-        self._metrics_lock = threading.Lock()
-        self._started = False
-        self._stopped = False
-        self._seed = seed
-        self._rngs = RngRegistry(seed)
-        self._transport_kind = transport
+        self.seed = seed
+        self.chaos = chaos
         self.membership_kind = membership
         self.view_size = view_size
-        self.chaos = chaos
-
-        self._hub = InMemoryHub() if transport == "memory" else None
-        self._addr_of: dict[Any, Any] = {}
-        self._node_by_addr: dict[Any, Any] = {}
-        self.nodes: dict[Any, RuntimeNode] = {}
-        self._t0 = time.monotonic()
-
-        if chaos is not None:
-            # partition/loss rules speak node ids; teach the rule set to
-            # translate transport addresses back (identity for memory)
-            chaos.bind_address_map(lambda addr: self._node_by_addr.get(addr, addr))
-
-        for node_id in range(n_nodes):
-            self._spawn_runtime_node(node_id)
+        self._rngs = RngRegistry(seed)
+        self._memory = transport == "memory"
+        self._hosted = None if hosted is None else frozenset(hosted)
+        # node id -> the hop's route: the LiveNode itself on the memory
+        # hop, a (host, port) address on UDP
+        self._routes: dict[Any, Any] = {
+            node: tuple(addr) for node, addr in (port_map or {}).items()
+        }
+        self.nodes: dict[Any, LiveNode] = {}
+        # cumulative over every incarnation of every hosted node
+        self.offers = 0
+        self.decode_errors = 0
+        self.send_failures = 0
+        self.bind_errors = 0
+        # a scenario's schedule (from_scenario), run from start() on
+        self.feeders: list = []
+        self.actions: list = []
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
+        self._tasks: set[asyncio.Task] = set()  # the loop holds tasks weakly
+        self._t0: Optional[float] = None
+        self._stopped = False
+        self.failure: Optional[RuntimeError] = None
+        self._failed = threading.Event()
+        try:
+            for node_id in self.directory.alive():
+                if self.hosts(node_id):
+                    self._spawn(node_id)
+        except OSError:
+            self._halt()  # release the sockets bound so far
+            raise
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    def _make_endpoint(self, node_id: Any):
-        if self._transport_kind == "memory":
-            raw = self._hub.create(node_id)
-        else:
-            raw = UdpTransport()
-        self._addr_of[node_id] = raw.address
-        self._node_by_addr[raw.address] = node_id
-        if self.chaos is not None:
-            return ChaosTransport(raw, self.chaos, node_id, seed=self._seed)
-        return raw
+    def hosts(self, node_id: Any) -> bool:
+        """Whether ``node_id`` runs here (rather than in another shard)."""
+        return self._hosted is None or node_id in self._hosted
 
     def _make_membership(self, node_id: Any):
         if self.membership_kind == "full":
@@ -148,25 +398,30 @@ class ThreadedCluster(Driver):
         bootstrap = rng.sample(others, min(len(others), cfg.view_size))
         return PartialViewMembership(node_id, cfg, initial_view=bootstrap)
 
-    def _spawn_runtime_node(self, node_id: Any) -> RuntimeNode:
-        endpoint = self._make_endpoint(node_id)
+    def _spawn(self, node_id: Any) -> LiveNode:
+        """Build (and, if running, start) a fresh incarnation of a node."""
+        sock = None
+        if not self._memory:
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                sock.bind(self._routes.get(node_id, ("127.0.0.1", 0)))
+            except OSError:
+                sock.close()
+                raise
+            sock.setblocking(False)
+            self._routes[node_id] = sock.getsockname()
         proto = self._build_protocol(
             node_id,
             self._make_membership(node_id),
             self._rngs.stream("protocol", node_id),
-            self._clock(),
+            self.clock(),
         )
-        node = RuntimeNode(
-            proto,
-            endpoint,
-            self.codec,
-            self._addr_of.get,
-            gossip_period=self.system.gossip_period,
-            clock=self._clock,
-            jitter=self.system.round_jitter,
-            phase=self.system.round_phase,
-        )
+        node = LiveNode(self, node_id, proto, sock)
+        if self._memory:
+            self._routes[node_id] = node
         self.nodes[node_id] = node
+        if self._loop is not None:
+            node.start()
         return node
 
     # ------------------------------------------------------------------
@@ -180,23 +435,23 @@ class ThreadedCluster(Driver):
         transport: str = "memory",
         **overrides,
     ) -> "ThreadedCluster":
-        """Instantiate a declarative scenario on real threads.
+        """Instantiate a declarative scenario on the live host.
 
         Real runs want short rounds, so the spec's gossip period is
-        replaced by ``gossip_period`` (default 0.1 s); everything else of
-        the protocol profile carries over, including partial-view
+        replaced by ``gossip_period`` (default 0.1 s) and the whole
+        schedule shrinks by the same factor; everything else of the
+        protocol profile carries over, including partial-view
         membership. When the spec carries a network environment — a
         topology/latency model, baseline loss, or loss/partition/
-        bandwidth fault windows — the endpoints come wrapped in a
-        :class:`~repro.runtime.transport.ChaosTransport` sharing one
+        bandwidth fault windows — the nodes share one
         :class:`~repro.runtime.transport.ChaosRules`, pre-loaded with
-        the baseline loss and the latency model (link delays scaled by
-        the same wall-clock factor as the schedule). Scenario
-        *schedules* (workload offers, fault/churn/resource scripts) are
-        driven by :func:`repro.scenarios.runner.run_scenario_threaded`.
+        the baseline loss and the latency model (link delays scaled
+        like the schedule). Conditions present at t=0 apply to the idle
+        protocols here; the spec's feeders and every timed condition
+        are compiled onto :attr:`feeders` and :attr:`actions` and run
+        from :meth:`start` on (hosted senders only: each shard paces
+        its own).
         """
-        import dataclasses
-
         period = 0.1 if gossip_period is None else gossip_period
         scale = period / spec.system.gossip_period
         system = dataclasses.replace(spec.system, gossip_period=period)
@@ -225,16 +480,16 @@ class ThreadedCluster(Driver):
             # cap windows must bucket per *spec* second (the simulator's
             # granularity), not per wall second — at scale 0.1 a wall
             # bucket would hand out ten spec-seconds of budget as one
-            # FCFS burst. The runner therefore sets caps at the spec's
+            # FCFS burst. The lowering therefore sets caps at the spec's
             # unscaled msg/s rate.
-            wall_clock = cluster._clock
-            cluster.chaos.bind_clock(lambda: wall_clock() / scale)
-        # conditions present from t=0 (e.g. slow receivers) apply before
-        # the threads start, directly on the still-unshared protocols.
-        # Must stay the exact complement of the timed-action queue in
-        # run_scenario_threaded, which excludes t=0 CapacityChanges.
+            cluster.chaos.bind_clock(lambda: cluster.clock() / scale)
+        # lazy: the scenario runner imports this module
+        from repro.scenarios.runner import _Feeder, lower_timed_conditions
         from repro.workload.dynamics import CapacityChange
 
+        # conditions present from t=0 (e.g. slow receivers) apply now,
+        # on the idle protocols — the exact complement of the timed
+        # actions, which skip t=0 capacity changes
         for change in spec.resources.changes:
             if change.time == 0.0 and isinstance(change, CapacityChange):
                 for node in change.nodes:
@@ -242,6 +497,12 @@ class ThreadedCluster(Driver):
                         cluster.nodes[node].protocol.set_buffer_capacity(
                             change.capacity, 0.0
                         )
+        cluster.feeders = [
+            _Feeder(sender, scale, spec.seed)
+            for sender in spec.senders
+            if cluster.hosts(sender.node)
+        ]
+        cluster.actions, _ = lower_timed_conditions(spec, cluster, scale, cluster.feeders)
         return cluster
 
     def _default_system(self) -> SystemConfig:
@@ -251,180 +512,282 @@ class ThreadedCluster(Driver):
     def _default_bucket_width(self) -> float:
         return max(0.1, self.system.gossip_period)
 
-    # ------------------------------------------------------------------
-    # clocks & metrics plumbing
-    # ------------------------------------------------------------------
-    def _clock(self) -> float:
-        """Cluster-relative wall clock (metrics buckets start at 0)."""
-        return time.monotonic() - self._t0
-
-    def _bind_deliver(self, node_id: Any):
-        """Like the base binding, but serialised behind the metrics lock."""
-        collector = self.metrics
-        lock = self._metrics_lock
-
-        def deliver_fn(event_id, payload, now):
-            with lock:
-                collector.on_deliver(node_id, event_id, now)
-
-        return deliver_fn
-
-    def _bind_drop(self, node_id: Any):
-        """Like the base binding, but serialised behind the metrics lock."""
-        collector = self.metrics
-        lock = self._metrics_lock
-
-        def drop_fn(event_id, age, reason, now):
-            with lock:
-                collector.on_drop(node_id, event_id, age, reason, now)
-
-        return drop_fn
+    def clock(self) -> float:
+        """Run-relative wall clock: 0 until :meth:`start`, then seconds since."""
+        t0 = self._t0
+        return 0.0 if t0 is None else time.monotonic() - t0
 
     # ------------------------------------------------------------------
-    # running
+    # the loop thread
     # ------------------------------------------------------------------
     def start(self) -> None:
-        self._started = True
-        for node in self.nodes.values():
-            if not node.is_alive() and node.ident is None:
-                node.start()
+        """Start the loop thread: rounds, feeders and timed conditions."""
+        if self._stopped:
+            raise RuntimeError(
+                "this cluster has been stopped; its sockets and loop cannot "
+                "be reused — build a fresh ThreadedCluster"
+            )
+        if self._loop is not None:
+            return
+        loop = asyncio.new_event_loop()
+        loop.set_exception_handler(self._on_loop_error)
+        self._loop = loop
+        self._t0 = time.monotonic()
+        loop.call_soon(self._begin)
+        self._thread = threading.Thread(target=self._serve, name="live-host", daemon=True)
+        self._thread.start()
 
+    def _begin(self) -> None:
+        for node in list(self.nodes.values()):
+            node.start()
+        if self.actions:
+            self._task(self._run_actions(), "scheduled conditions")
+        for feeder in self.feeders:
+            self._task(self._run_feeder(feeder), f"node {feeder.node!r} feeder")
+
+    def _serve(self) -> None:
+        loop = self._loop
+        asyncio.set_event_loop(loop)
+        try:
+            loop.run_forever()
+            # let the cancelled tasks finish, and run what was marshalled
+            # onto the loop while it was stopping
+            tasks = list(self._tasks)
+            loop.run_until_complete(asyncio.gather(*tasks, return_exceptions=True))
+        finally:
+            loop.close()
+
+    def _task(self, coro, label: str) -> asyncio.Task:
+        """A loop task whose unexpected exception fails the run."""
+
+        def done(task: asyncio.Task) -> None:
+            self._tasks.discard(task)
+            if not task.cancelled() and task.exception() is not None:
+                self._fail(label, task.exception())
+
+        task = self._loop.create_task(coro)
+        task.add_done_callback(done)
+        self._tasks.add(task)
+        return task
+
+    async def _run_actions(self) -> None:
+        for due, _, fire in self.actions:
+            delay = due - self.clock()
+            if delay > 0:
+                await asyncio.sleep(delay)
+            try:
+                fire()
+            except Exception as exc:
+                name = getattr(fire, "__name__", repr(fire))
+                self._fail(f"scheduled condition {name!r} due at {due:.3f}s", exc)
+                return
+
+    async def _run_feeder(self, feeder) -> None:
+        while feeder.stop is None or feeder.next < feeder.stop:
+            now = self.clock()
+            if feeder.next > now:
+                await asyncio.sleep(feeder.next - now)
+                continue
+            node = self.nodes.get(feeder.node)
+            if node is not None:
+                node.offer(None)
+            self.offers += 1
+            feeder.advance()
+
+    def _fail(self, where: str, exc: BaseException) -> None:
+        """Record the run's first failure and wake :meth:`wait`."""
+        if self.failure is None:
+            self.failure = RuntimeError(f"{where} raised {exc!r}")
+            self.failure.__cause__ = exc
+        self._failed.set()
+
+    def _on_loop_error(self, loop, context: dict) -> None:
+        exc = context.get("exception") or RuntimeError(context["message"])
+        self._fail(context["message"], exc)
+
+    @property
+    def failed(self) -> bool:
+        """Whether something raised inside the loop (see :meth:`stop`)."""
+        return self._failed.is_set()
+
+    def _marshal(self) -> bool:
+        """Whether a call must hop onto the loop thread (the loop runs and
+        the caller is another thread); before :meth:`start` and after
+        :meth:`stop` the caller acts directly."""
+        thread = self._thread
+        return (
+            thread is not None
+            and thread.is_alive()
+            and thread is not threading.current_thread()
+        )
+
+    def _call(self, fn, *args):
+        """Run ``fn(*args)`` on the loop thread and return its result."""
+        if not self._marshal():
+            return fn(*args)
+        done: concurrent.futures.Future = concurrent.futures.Future()
+
+        def run() -> None:
+            try:
+                done.set_result(fn(*args))
+            except BaseException as exc:
+                done.set_exception(exc)
+
+        self._loop.call_soon_threadsafe(run)
+        return done.result()
+
+    # ------------------------------------------------------------------
+    # the application surface (any thread)
+    # ------------------------------------------------------------------
     def broadcast(self, node_id: Any, payload: Any = None) -> None:
-        """Offer a broadcast through ``node_id`` (admission on its thread)."""
-        self.nodes[node_id].broadcast(payload)
+        """Offer a broadcast through ``node_id`` (admission on the loop)."""
+        node = self.nodes[node_id]
+        if self._marshal():
+            self._loop.call_soon_threadsafe(node.offer, payload)
+        else:
+            node.offer(payload)
 
     def set_capacity(self, node_id: Any, capacity: int) -> None:
         """Change a node's buffer capacity, safely, while it runs.
 
-        The change is queued onto the node's own thread (the protocol is
-        never touched cross-thread) — the threaded counterpart of
+        The live counterpart of
         :meth:`repro.workload.cluster.SimCluster.set_capacity`. An id
-        that never joined is ignored, as in :meth:`crash_node`: a
-        scheduled change may name a member that is not there yet.
+        that is not a live hosted node is ignored, as in
+        :meth:`crash_node`: a scheduled change may name a member that is
+        not there yet, or lives in another shard.
         """
 
-        def apply(protocol, now: float) -> None:
-            protocol.set_buffer_capacity(capacity, now)
+        def apply() -> None:
+            node = self.nodes.get(node_id)
+            if node is not None and node.alive:
+                node.protocol.set_buffer_capacity(capacity, self.clock())
 
+        self._call(apply)
+
+    # ------------------------------------------------------------------
+    # live membership (the live counterparts of SimCluster's)
+    # ------------------------------------------------------------------
+    def crash_node(self, node_id: Any) -> None:
+        """Silent failure: leave the directory, stop the node, no goodbye.
+
+        The dead :class:`LiveNode` stays in :attr:`nodes` so its protocol
+        statistics remain readable after the run. Every shard replicates
+        the directory change; only the host of the node stops it.
+        Idempotent.
+        """
+        self._call(self._crash, node_id)
+
+    def _crash(self, node_id: Any) -> None:
+        if not self.directory.is_alive(node_id):
+            return
+        self.directory.leave(node_id)
         node = self.nodes.get(node_id)
         if node is not None:
-            node.invoke(apply)
+            node.stop()
 
-    def note_admitted(self, node_id: Any, event_id, when: Optional[float] = None) -> None:
-        """Record an admission in the metrics (used by runtime tests)."""
-        with self._metrics_lock:
-            self.metrics.on_admitted(node_id, event_id, when if when is not None else self._clock())
-
-    # ------------------------------------------------------------------
-    # live membership (the threaded counterparts of SimCluster's)
-    # ------------------------------------------------------------------
-    def crash_node(self, node_id: Any, timeout: float = 2.0) -> None:
-        """Silent failure: stop the thread, close the endpoint, no goodbye.
-
-        The dead :class:`RuntimeNode` stays in :attr:`nodes` so its
-        protocol statistics remain readable after the run; liveness is
-        the directory's call. Safe from any thread; idempotent.
-        """
-        node = self.nodes.get(node_id)
-        if node is None or not self.directory.is_alive(node_id):
-            return
-        self.directory.leave(node_id)
-        self._retire_endpoint(node_id)
-        node.shutdown(timeout=timeout)
-
-    def leave_node(self, node_id: Any, timeout: float = 2.0) -> None:
+    def leave_node(self, node_id: Any) -> None:
         """Graceful departure: unsubscribe, gossip it, then stop.
 
-        The unsubscribe is queued onto the node's own thread; what makes
-        the departure *graceful* (distinguishable from a crash) is that
-        the node then lives through one more gossip round, so partial
-        views actually carry the unsubscription onto the wire — the
-        header is only built by future emissions. The grace period is
-        *non-blocking*: the final shutdown rides a daemon timer, so the
-        scenario fault scheduler (a single thread pacing offers and
-        firing every condition) is never stalled by a departure. The
-        grace is skipped for full membership, where the directory itself
-        is the announcement. :meth:`stop` still tears everything down
-        immediately — shutdown is idempotent, a late timer is a no-op.
+        What makes the departure *graceful* (distinguishable from a
+        crash) is that the node lives through one more gossip round, so
+        partial views carry the unsubscription onto the wire — the
+        header is only built by future emissions. The grace rides a loop
+        timer, so nothing waits on it; it is skipped for full
+        membership, where the directory itself is the announcement.
         """
-        node = self.nodes.get(node_id)
-        if node is None or not self.directory.is_alive(node_id):
+        self._call(self._leave, node_id)
+
+    def _leave(self, node_id: Any) -> None:
+        if not self.directory.is_alive(node_id):
             return
-        announces = getattr(node.protocol.membership, "unsubscribe", None)
-
-        def unsub(protocol, now: float) -> None:
-            unsubscribe = getattr(protocol.membership, "unsubscribe", None)
-            if callable(unsubscribe):
-                unsubscribe()
-
-        node.invoke(unsub)
         self.directory.leave(node_id)
-        self._retire_endpoint(node_id)
-        if callable(announces) and node.is_alive():
-            # one command-drain poll plus one full round, even with jitter
-            grace = RuntimeNode.POLL_CAP + node.gossip_period * 1.2
-            timer = threading.Timer(grace, node.shutdown)
-            timer.daemon = True
-            timer.start()
+        node = self.nodes.get(node_id)
+        if node is None or not node.alive:
+            return
+        unsubscribe = getattr(node.protocol.membership, "unsubscribe", None)
+        if not callable(unsubscribe):
+            node.stop()  # full membership: the directory is the announcement
+            return
+        unsubscribe()
+        if self._loop is None:
+            node.stop()
         else:
-            node.shutdown(timeout=timeout)
+            # one full round even with jitter, plus one offer-retry poll
+            grace = self.system.gossip_period * 1.2 + POLL_CAP
+            self._loop.call_later(grace, node.stop)
 
-    def join_node(self, node_id: Any) -> RuntimeNode:
+    def join_node(self, node_id: Any) -> Optional[LiveNode]:
         """(Re)join under ``node_id``: a fresh process, old identity.
 
         A restarted node gets a brand-new protocol instance (empty
         buffers — the realistic model for a process restart) and a fresh
-        endpoint; if the cluster is running, its thread starts
-        immediately. The previous incarnation, if any, must be dead.
+        socket on its old address; if the cluster is running it starts
+        at once. Returns the hosted node (``None`` for another shard's
+        identity, whose directory entry is all that changes here).
         """
         if self._stopped:
             raise RuntimeError("cluster stopped; nodes cannot join")
-        old = self.nodes.get(node_id)
-        if old is not None and self.directory.is_alive(node_id):
-            return old  # already a live member
-        if old is not None and old.is_alive():
-            # a graceful leave's grace timer may still be pending:
-            # rejoining under the identity supersedes it, so finish the
-            # teardown now (shutdown is idempotent — the timer firing
-            # later on the old, already-dead node is a no-op, and its
-            # late transport close is identity-checked by the hub)
-            old.shutdown()
-        self.directory.join(node_id)
-        node = self._spawn_runtime_node(node_id)
-        if self._started:
-            node.start()
-        return node
+        return self._call(self._join, node_id)
 
-    def _retire_endpoint(self, node_id: Any) -> None:
-        """Forget the node's address so peers see sends fail fast."""
-        addr = self._addr_of.pop(node_id, None)
-        if addr is not None:
-            self._node_by_addr.pop(addr, None)
+    def _join(self, node_id: Any) -> Optional[LiveNode]:
+        old = self.nodes.get(node_id)
+        if self.directory.is_alive(node_id) and (
+            not self.hosts(node_id) or (old is not None and old.alive)
+        ):
+            return old  # already a live member
+        self.directory.join(node_id)
+        if not self.hosts(node_id):
+            return None
+        if old is not None:
+            old.stop()  # a pending leave grace is superseded by the rejoin
+        try:
+            return self._spawn(node_id)
+        except OSError:  # someone else took the port meanwhile
+            self.bind_errors += 1
+            return None
+
+    # ------------------------------------------------------------------
+    # running
+    # ------------------------------------------------------------------
+    def wait(self, seconds: float) -> bool:
+        """Block for ``seconds`` of wall time, or until the run fails;
+        returns whether it failed."""
+        return self._failed.wait(max(0.0, seconds))
 
     def run_for(self, duration: float) -> None:
         """Start (if needed), run for ``duration`` wall seconds, stop.
 
         One-shot, unlike the simulator's repeatable
-        :meth:`~repro.workload.cluster.SimCluster.run_for`: real threads
-        cannot be restarted once joined, so the teardown is final. For
-        incremental wall-clock phases call :meth:`start`, sleep between
-        observations, then :meth:`stop` once.
+        :meth:`~repro.workload.cluster.SimCluster.run_for`: the teardown
+        releases the sockets and the loop. For incremental wall-clock
+        phases call :meth:`start`, sleep between observations, then
+        :meth:`stop` once.
         """
-        if self._stopped:
-            raise RuntimeError(
-                "this cluster has been stopped; its threads and transports "
-                "cannot be reused — build a fresh ThreadedCluster"
-            )
-        if not any(n.is_alive() for n in self.nodes.values()):
-            self.start()
-        time.sleep(duration)
+        self.start()
+        self.wait(duration)
         self.stop()
 
     def stop(self) -> None:
-        # consumes the cluster whether or not it ever started: shutdown
-        # closes the transports, so the nodes can never run afterwards
+        """Stop every node at once and join the loop thread.
+
+        Consumes the cluster whether or not it ever started. Raises the
+        run's failure, if anything raised inside the loop.
+        """
+        if self._stopped:
+            return
         self._stopped = True
+        if self._thread is None:
+            self._halt()
+        else:
+            self._loop.call_soon_threadsafe(self._halt)
+            self._thread.join()
+        if self.failure is not None:
+            raise self.failure
+
+    def _halt(self) -> None:
         for node in self.nodes.values():
-            node.shutdown()
-        if self.chaos is not None:
-            self.chaos.close()
+            node.stop()
+        for task in self._tasks:
+            task.cancel()
+        if self._loop is not None:
+            self._loop.stop()

@@ -15,7 +15,7 @@ covers event ids, κ-smallest aggregate states and pub/sub addresses.
 Wire version 2 carries events *columnar* — all ids, then all ages, then
 all payloads — and both decoders materialise them as
 :class:`~repro.gossip.events.EventColumns` (anchored at base round 0),
-so the threaded runtime and the simulator hand protocols one and the
+so the live runtime and the simulator hand protocols one and the
 same message shape. Row-form event tuples are accepted on encode and
 written in the identical columnar layout; equality between the two
 forms is semantic, so ``decode(encode(m)) == m`` holds for both.

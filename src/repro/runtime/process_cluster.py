@@ -1,8 +1,10 @@
 """The shared-nothing multi-process UDP driver's parent coordinator.
 
 :class:`ProcessCluster` runs a scenario across N worker processes, each
-hosting a shard of the group on its own asyncio event loop over real UDP
-sockets (:mod:`repro.runtime.worker`). The parent:
+hosting a shard of the group on the live host — the same
+:class:`~repro.runtime.cluster.ThreadedCluster` the in-process driver
+runs, its nodes on one event loop over real UDP sockets
+(:mod:`repro.runtime.worker`). The parent:
 
 1. derives a **seeded port map** — every identity the scenario can ever
    name (initial members, churn joiners, crash-window nodes) gets a
@@ -16,7 +18,8 @@ sockets (:mod:`repro.runtime.worker`). The parent:
    fresh map under the next attempt salt;
 3. releases the **start barrier** and waits out the scaled run;
 4. collects one picklable :class:`WorkerReport` per worker — the
-   metrics shard, per-node deliveries, chaos statistics — merges the
+   metrics shard, per-node deliveries, chaos statistics — or raises the
+   first worker's ``("failed", id, reason)``; merges the
    :class:`~repro.metrics.collector.MetricsCollector` shards (the
    collector's early-delivery parking reconciles cross-shard
    deliveries against their origin shard's admission records), and
@@ -24,12 +27,12 @@ sockets (:mod:`repro.runtime.worker`). The parent:
    process ever outlives the run.
 
 Scenario lowering itself (chaos windows, churn, crash/restart, feeder
-pacing) happens *inside* the workers: each carries the full schedule
-and the same seeded chaos vocabulary, so every existing
+pacing) happens *inside* the workers: each host carries the full
+schedule and the same seeded chaos vocabulary, so every existing
 :class:`~repro.scenarios.spec.ScenarioSpec` condition applies unchanged
 across process boundaries. See
 :func:`repro.scenarios.runner.run_scenario_process` for the report
-surface and ``process_coverage`` for the injected/skipped audit.
+surface and ``live_coverage`` for the injected/skipped audit.
 """
 
 from __future__ import annotations
@@ -173,7 +176,7 @@ class ProcessCluster:
         A picklable :class:`~repro.scenarios.spec.ScenarioSpec`.
     gossip_period:
         Wall seconds per gossip round; sets the spec-to-wall time scale
-        exactly like the threaded driver (default 0.1 s).
+        exactly like the in-process driver (default 0.1 s).
     n_workers:
         Worker process count (default :func:`default_worker_count`).
     host:
@@ -311,6 +314,8 @@ class ProcessCluster:
                     msg = conn.recv()
                     if isinstance(msg, tuple) and len(msg) == 2 and msg[0] == "result":
                         report = msg[1]
+                    elif isinstance(msg, tuple) and len(msg) == 3 and msg[0] == "failed":
+                        raise RuntimeError(f"worker {msg[1]} failed: {msg[2]}")
             except (EOFError, OSError):
                 pass
             if report is None:

@@ -3,7 +3,9 @@
 The prototype the paper validates against is 60 separate workstations.
 This module provides the same deployment shape in miniature: every node
 is its **own operating-system process** speaking the binary wire format
-over UDP; a launcher spawns and supervises a whole group locally.
+over UDP — a live host (:class:`~repro.runtime.cluster.ThreadedCluster`)
+hosting that one node at ``--port``; a launcher spawns and supervises a
+whole group locally.
 
 Run one node by hand::
 
@@ -32,13 +34,9 @@ from typing import Optional, Sequence
 
 from repro.core.config import AdaptiveConfig
 from repro.gossip.config import SystemConfig
-from repro.membership.full import Directory, FullMembershipView
-from repro.runtime.codec import BinaryCodec
-from repro.runtime.node import RuntimeNode
-from repro.runtime.transport import ChaosRules, ChaosTransport, UdpTransport
+from repro.runtime.cluster import ThreadedCluster
+from repro.runtime.transport import ChaosRules
 from repro.sim.network import BernoulliLoss
-from repro.sim.rng import RngRegistry
-from repro.workload.cluster import make_protocol_factory
 
 __all__ = ["build_parser", "run_node", "launch_group", "main"]
 
@@ -74,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="application offers per second from this node (0 = silent)",
     )
     parser.add_argument("--seed", type=int, default=0)
-    # chaos: the same fault vocabulary the other two drivers lower,
-    # injected at this process's own transport (each node decides the
-    # fate of its *outgoing* datagrams from its seeded chaos stream)
+    # chaos: the same fault vocabulary the other drivers lower, decided
+    # at this node's own sends (it decides the fate of its *outgoing*
+    # datagrams from its seeded chaos stream)
     parser.add_argument(
         "--chaos-loss", type=float, default=0.0, metavar="P",
         help="Bernoulli loss probability on every outgoing datagram",
@@ -133,15 +131,11 @@ def _parse_oneway(entries: Sequence[str]) -> tuple[list[list[int]], list[tuple[i
     return groups, blocked
 
 
-def _build_chaos(args, peers: dict[int, tuple[str, int]]) -> Optional[ChaosRules]:
+def _build_chaos(args) -> Optional[ChaosRules]:
     """A per-process rule set from the chaos flags, or None when unused."""
     if not (args.chaos_loss > 0 or args.chaos_link_loss or args.chaos_oneway):
         return None
-    addr_to_node = {addr: node for node, addr in peers.items()}
-    rules = ChaosRules(
-        loss=BernoulliLoss(args.chaos_loss) if args.chaos_loss > 0 else None,
-        node_of=lambda addr: addr_to_node.get(addr, addr),
-    )
+    rules = ChaosRules(loss=BernoulliLoss(args.chaos_loss) if args.chaos_loss > 0 else None)
     matrix = _parse_link_loss(args.chaos_link_loss)
     if matrix:
         rules.set_link_loss(matrix)
@@ -166,52 +160,43 @@ def _parse_peers(entries: Sequence[str]) -> dict[int, tuple[str, int]]:
 def run_node(args) -> dict:
     """Run one node for ``--duration`` seconds; returns the exit report."""
     peers = _parse_peers(args.peers)
-    system = SystemConfig(
-        fanout=args.fanout,
-        gossip_period=args.period,
-        buffer_capacity=args.buffer,
-        dedup_capacity=max(4000, 40 * args.buffer),
-        max_age=args.max_age,
+    book = {args.node_id: ("127.0.0.1", args.port), **peers}
+    cluster = ThreadedCluster(
+        len(book),
+        system=SystemConfig(
+            fanout=args.fanout,
+            gossip_period=args.period,
+            buffer_capacity=args.buffer,
+            dedup_capacity=max(4000, 40 * args.buffer),
+            max_age=args.max_age,
+        ),
+        protocol=args.protocol,
+        adaptive=AdaptiveConfig(
+            age_critical=args.tau,
+            sample_period=max(args.period * 5, 0.25),
+            initial_rate=max(args.offered_rate, 1.0),
+        ),
+        rate_limit=args.rate_limit,
+        transport="udp",
+        seed=args.seed,
+        chaos=_build_chaos(args),
+        hosted=(args.node_id,),
+        port_map=book,
+        members=book,
     )
-    adaptive = AdaptiveConfig(
-        age_critical=args.tau,
-        sample_period=max(args.period * 5, 0.25),
-        initial_rate=max(args.offered_rate, 1.0),
-    )
-    factory = make_protocol_factory(
-        args.protocol, adaptive=adaptive, rate_limit=args.rate_limit
-    )
-    directory = Directory([args.node_id, *peers])
-    rngs = RngRegistry(args.seed)
-    transport = UdpTransport(port=args.port)
-    chaos = _build_chaos(args, peers)
-    if chaos is not None:
-        transport = ChaosTransport(transport, chaos, args.node_id, seed=args.seed)
-    protocol = factory(
-        args.node_id,
-        system,
-        FullMembershipView(directory, args.node_id),
-        rngs.stream("protocol", args.node_id),
-        None,
-        None,
-        0.0,
-    )
-    node = RuntimeNode(
-        protocol, transport, BinaryCodec(), peers.get, gossip_period=args.period
-    )
-    node.start()
-    deadline = time.monotonic() + args.duration
-    next_offer = time.monotonic()
+    cluster.start()
     try:
+        deadline = time.monotonic() + args.duration
+        next_offer = time.monotonic()
         while time.monotonic() < deadline:
             if args.offered_rate > 0 and time.monotonic() >= next_offer:
-                node.broadcast(None)
+                cluster.broadcast(args.node_id)
                 next_offer += 1.0 / args.offered_rate
-            time.sleep(0.005)
+            if cluster.wait(0.005):
+                break
     finally:
-        node.shutdown()
-        if chaos is not None:
-            chaos.close()
+        cluster.stop()
+    protocol = cluster.protocol_of(args.node_id)
     stats = protocol.stats
     report = {
         "node_id": args.node_id,
@@ -220,15 +205,15 @@ def run_node(args) -> dict:
         "events_delivered": stats.events_delivered,
         "messages_received": stats.messages_received,
         "drops_overflow": stats.drops_overflow,
-        "decode_errors": node.decode_errors,
-        "send_failures": node.send_failures,
+        "decode_errors": cluster.decode_errors,
+        "send_failures": cluster.send_failures,
     }
     allowed = getattr(protocol, "allowed_rate", None)
     if allowed is not None:
         report["allowed_rate"] = round(allowed, 3)
         report["min_buff"] = getattr(protocol, "min_buff_estimate", None)
-    if chaos is not None:
-        cs = chaos.stats
+    if cluster.chaos is not None:
+        cs = cluster.chaos.stats
         report["chaos"] = {
             "sent": cs.sent,
             "dropped": cs.dropped,

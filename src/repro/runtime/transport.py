@@ -1,37 +1,33 @@
-"""Transports for the real-time runtime.
+"""Transport primitives of the real-time runtime.
 
-A transport delivers opaque datagrams between addresses. The
-:class:`Transport` protocol names the contract; two base transports are
-provided:
+The live host (:class:`~repro.runtime.cluster.ThreadedCluster`) moves
+datagrams itself — a dict hop on its event loop, or non-blocking UDP
+sockets — and consults one thing from here on every send:
+
+* :class:`ChaosRules` — the live fault rule set: Bernoulli/burst loss,
+  latency distributions, bandwidth caps, partitions, one-way cuts and
+  per-link loss, mutable mid-run from any thread. Each node draws its
+  drop/delay decisions from its own seeded RNG, so a given seed always
+  produces the same decision sequence on a given send sequence. The
+  loss/latency vocabularies are the simulator's own
+  (:class:`~repro.sim.network.LossModel` / ``LatencyModel``), so a
+  scenario's network environment lowers onto the live drivers without
+  translation. :class:`ChaosStats` counts what the rules did.
+
+Two blocking endpoints remain beside it, with the :class:`Transport`
+shape they share:
 
 * :class:`InMemoryTransport` — endpoints registered on a shared
   :class:`InMemoryHub`; delivery is a thread-safe queue hand-off.
-  Deterministic enough for CI, no sockets involved.
-* :class:`UdpTransport` — real UDP on localhost (or a LAN), mirroring
-  the paper's prototype deployment. Gossip tolerates datagram loss by
-  design, so UDP's best-effort semantics are exactly right.
+* :class:`UdpTransport` — one real UDP socket on localhost (or a LAN).
 
-Both expose the same blocking ``recv(timeout)`` interface the node loop
-consumes.
-
-On top of either sits :class:`ChaosTransport`, a composable decorator
-that injects the adverse network conditions the simulator models —
-Bernoulli/burst loss, latency distributions, bandwidth caps and
-partitions — into *real* sends. One shared :class:`ChaosRules` value
-holds the live rule set for a whole cluster (fault schedulers mutate it
-mid-run from any thread); each wrapped endpoint draws its drop/delay
-decisions from its own per-node seeded RNG, so a given seed always
-produces the same decision sequence on a given send sequence. Delayed
-datagrams ride a single shared :class:`DelayLine` thread per rule set.
-The loss/latency vocabularies are the simulator's own
-(:class:`~repro.sim.network.LossModel` / ``LatencyModel``), so a
-scenario's network environment lowers onto the threaded runtime without
-translation.
+No live driver sends through them: they are the reference hops the
+perf ledger times per datagram (``runtime.transport.*``), a fixed
+yardstick for the host's own hop.
 """
 
 from __future__ import annotations
 
-import heapq
 import queue
 import random
 import socket
@@ -46,7 +42,6 @@ from repro.sim.network import (
     crosses_oneway,
     crosses_partition,
 )
-from repro.sim.rng import derive_seed
 
 __all__ = [
     "Transport",
@@ -55,18 +50,16 @@ __all__ = [
     "UdpTransport",
     "ChaosStats",
     "ChaosRules",
-    "ChaosTransport",
-    "DelayLine",
 ]
 
 
 @runtime_checkable
 class Transport(Protocol):
-    """What the node loop needs from a transport endpoint.
+    """The shape the two blocking endpoints share.
 
     Structural: anything with an ``address``, a non-blocking-ish
     ``send`` and a blocking ``recv(timeout)`` qualifies — the in-memory
-    hub endpoint, a UDP socket, or a chaos decorator around either.
+    hub endpoint or a UDP socket.
     """
 
     address: Any
@@ -203,7 +196,7 @@ class ChaosStats:
 
     sent: int = 0  # passed through (possibly after a delay)
     dropped: int = 0  # eaten by the loss model
-    delayed: int = 0  # forwarded late through the delay line
+    delayed: int = 0  # forwarded late, after a sampled link latency
     capped: int = 0  # eaten by the bandwidth cap
     blocked: int = 0  # eaten by an open partition
     oneway_blocked: int = 0  # eaten by a one-way (directed) cut
@@ -221,73 +214,14 @@ class ChaosStats:
         )
 
 
-class DelayLine:
-    """One shared timer thread forwarding delayed datagrams when due.
-
-    Submissions are (due wall time, thunk) pairs on a heap; a single
-    daemon thread (started lazily on first use) pops due entries and
-    runs them. Thunks that raise are dropped silently — a delayed send
-    races node shutdown by construction, and late datagrams into a
-    closed endpoint are exactly UDP semantics.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._cond = threading.Condition()
-        self._seq = 0
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
-
-    def submit(self, due: float, thunk: Callable[[], None]) -> None:
-        with self._cond:
-            if self._closed:
-                return  # shutting down: late traffic is dropped
-            heapq.heappush(self._heap, (due, self._seq, thunk))
-            self._seq += 1
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._run, name="chaos-delay-line", daemon=True
-                )
-                self._thread.start()
-            self._cond.notify()
-
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while not self._closed and (
-                    not self._heap or self._heap[0][0] > time.monotonic()
-                ):
-                    wait = (
-                        self._heap[0][0] - time.monotonic() if self._heap else None
-                    )
-                    self._cond.wait(timeout=wait if wait is None or wait > 0 else 0)
-                if self._closed:
-                    return
-                _, _, thunk = heapq.heappop(self._heap)
-            try:
-                thunk()
-            except Exception:
-                pass  # endpoint closed under us: best-effort, like the wire
-
-    def close(self) -> None:
-        """Stop the thread; pending delayed datagrams are dropped."""
-        with self._cond:
-            self._closed = True
-            self._heap.clear()
-            self._cond.notify_all()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=2.0)
-
-
 class ChaosRules:
-    """The live fault rule set one cluster's chaos endpoints consult.
+    """The live fault rule set one host's nodes consult on every send.
 
-    Thread-safety: mutators may be called from any thread (the scenario
-    fault scheduler lives on the feeder thread, decisions happen on node
-    threads); every read/write of the rule state goes through one lock.
-    Decision RNGs live in the per-endpoint :class:`ChaosTransport`, not
-    here, so rule mutations never perturb another node's random stream.
+    Thread-safety: mutators may be called from any thread (decisions
+    happen on the host's event-loop thread, callers mutate rules from
+    their own); every read/write of the rule state goes through one lock.
+    Decision RNGs belong to the sending nodes, not to the rule set, so
+    rule mutations never perturb another node's random stream.
 
     Parameters
     ----------
@@ -302,13 +236,12 @@ class ChaosRules:
         must shrink with it.
     clock:
         Time source for bandwidth-cap window accounting. Delayed
-        datagrams always ride wall time (the delay line's thread waits
-        on ``time.monotonic``), so an injected clock shapes cap windows
-        only.
+        datagrams always ride wall time (the host's loop timers), so an
+        injected clock shapes cap windows only.
     node_of:
-        Maps transport addresses back to protocol node ids (identity by
-        default — correct for the in-memory hub, where address == id);
-        loss/latency/partition rules all speak node ids.
+        Maps destination addresses back to protocol node ids (identity
+        by default — correct whenever callers pass node ids, as the live
+        host does); loss/latency/partition rules all speak node ids.
     """
 
     def __init__(
@@ -333,7 +266,6 @@ class ChaosRules:
         self._clock = clock
         self._node_of = node_of if node_of is not None else lambda addr: addr
         self.stats = ChaosStats()
-        self.delay_line = DelayLine()
 
     # ------------------------------------------------------------------
     # rule mutation (any thread)
@@ -429,7 +361,7 @@ class ChaosRules:
             self._link_loss = frozen
 
     # ------------------------------------------------------------------
-    # the decision (sender's node thread)
+    # the decision (the sender's thread: the host's event loop)
     # ------------------------------------------------------------------
     def plan(self, src: Any, dest_addr: Any, rng: random.Random) -> Optional[float]:
         """Decide one send's fate: None = eat it, else delay in seconds.
@@ -439,8 +371,8 @@ class ChaosRules:
         drop decisions is untouched by non-random rules, and the latency
         draw happens last. The whole decision runs inside one lock
         acquisition — loss models may be stateful (``BurstLoss`` mutates
-        per decision) and are shared by every node thread, so the model
-        call itself must be serialised, not just the rule snapshot.
+        per decision) and are shared by every sender, so the model call
+        itself must be serialised, not just the rule snapshot.
         """
         dst = self._node_of(dest_addr)
         with self._lock:
@@ -477,58 +409,5 @@ class ChaosRules:
             self.stats.sent += 1
 
     def close(self) -> None:
-        """Tear down the delay line (pending delayed datagrams drop)."""
-        self.delay_line.close()
-
-
-class ChaosTransport:
-    """A fault-injecting decorator around any :class:`Transport`.
-
-    Receives pass straight through; sends consult the shared
-    :class:`ChaosRules` with this endpoint's own seeded RNG. Dropped,
-    capped and partition-blocked datagrams report ``True`` to the caller
-    — like the real network, the sender cannot tell a lost datagram from
-    a delivered one (only hub-level failures like an unknown address
-    still report ``False``).
-    """
-
-    def __init__(
-        self,
-        inner: Transport,
-        rules: ChaosRules,
-        node: Any,
-        seed: int = 0,
-    ) -> None:
-        self.inner = inner
-        self.rules = rules
-        self.node = node
-        self.address = inner.address
-        self.rng = random.Random(derive_seed(seed, "chaos", node))
-
-    def send(self, dest: Any, data: bytes) -> bool:
-        rules = self.rules
-        verdict = rules.plan(self.node, dest, self.rng)
-        if verdict is None:
-            return True  # eaten: indistinguishable from wire loss
-        if verdict <= 0.0:
-            ok = self.inner.send(dest, data)
-            if ok:
-                rules.note_sent()
-            return ok
-        inner = self.inner
-
-        def forward() -> None:
-            # counted as sent only when the wire actually takes it —
-            # a delay line torn down mid-flight drops the datagram and
-            # must not inflate the pass-through count
-            if inner.send(dest, data):
-                rules.note_sent()
-
-        rules.delay_line.submit(time.monotonic() + verdict, forward)
-        return True
-
-    def recv(self, timeout: float) -> Optional[tuple[bytes, Any]]:
-        return self.inner.recv(timeout)
-
-    def close(self) -> None:
-        self.inner.close()
+        """Release the rule set; a no-op, kept for callers that pair every
+        rule set with a close (delayed datagrams ride the host's loop)."""

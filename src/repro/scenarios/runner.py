@@ -1,43 +1,38 @@
-"""Run scenarios on either driver.
+"""Run scenarios on any driver.
 
 The simulator path lowers a :class:`~repro.scenarios.spec.ScenarioSpec`
 to a :class:`~repro.experiments.harness.RunSpec` and reuses the whole
 experiment harness (so scenario runs sweep, shard and serialise exactly
-like figure runs). The threaded path drives the same spec on real
-threads with *full condition parity*: workload offers are paced from
-the spec's sender shapes, timed capacity changes are queued onto the
-owning node threads, loss/partition/bandwidth windows and the
-topology/latency environment are injected through the
-:class:`~repro.runtime.transport.ChaosTransport` layer, crash windows
-stop and restart real node threads, churn scripts join and leave
-members through the live membership layer, and partial views gossip
-over the actual wire. Conditions the threaded driver cannot lower
-(unknown fault kinds) are still *reported as skipped* rather than
-silently dropped; :func:`threaded_coverage` computes the injected/
-skipped split without running anything, so the CLI and the parity tests
-can audit coverage cheaply.
+like figure runs).
 
-The process path pushes the same parity one deployment shape further:
-:func:`run_scenario_process` drives the spec on
-:class:`~repro.runtime.process_cluster.ProcessCluster` — shard worker
-*processes* gossiping over real UDP sockets — with the identical
-lowering vocabulary (chaos rules at the socket layer, crash/churn as
-real worker-side node stops/restarts, feeders paced inside the owning
-worker) and the same injected/skipped audit via
-:func:`process_coverage`.
+The two live paths run the same spec on the one live host,
+:class:`~repro.runtime.cluster.ThreadedCluster`, with *full condition
+parity*: workload offers are paced from the spec's sender shapes,
+timed capacity changes reach the owning nodes on the host's event loop,
+loss/partition/bandwidth windows and the topology/latency environment
+are decided by :class:`~repro.runtime.transport.ChaosRules` at every
+send, crash windows stop and restart real nodes, churn scripts join
+and leave members through the live membership layer, and partial views
+gossip over the actual wire. :func:`run_scenario_threaded` hosts every
+node in this process over the memory hop; :func:`run_scenario_process`
+hosts one shard per worker process over real UDP sockets
+(:class:`~repro.runtime.process_cluster.ProcessCluster`). Conditions
+the host cannot lower (unknown fault kinds) are still *reported as
+skipped* rather than silently dropped; :func:`live_coverage` computes
+the injected/skipped split without running anything, so the CLI and the
+parity tests can audit coverage cheaply.
 
-Virtual-to-wall time mapping: threaded and process runs use a short
-gossip period (default 0.1 s vs the spec's 1 s), so one spec second
-maps to ``gossip_period / spec.system.gossip_period`` wall seconds;
-offer intervals, fault/churn offsets and link latencies shrink by the
-same factor and bandwidth caps grow by its inverse — the load:capacity
+Virtual-to-wall time mapping: live runs use a short gossip period
+(default 0.1 s vs the spec's 1 s), so one spec second maps to
+``gossip_period / spec.system.gossip_period`` wall seconds; offer
+intervals, fault/churn offsets and link latencies shrink by the same
+factor and bandwidth caps grow by its inverse — the load:capacity
 regime of the scenario is preserved, only the clock changes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass
 from random import Random
 from typing import Optional, Union
@@ -67,8 +62,7 @@ __all__ = [
     "run_scenario_process",
     "run_scenario_threaded",
     "run_scenario_matrix",
-    "process_coverage",
-    "threaded_coverage",
+    "live_coverage",
 ]
 
 
@@ -145,16 +139,16 @@ class ThreadedScenarioReport:
     delivered_total: int
     delivered_min: int
     delivered_max: int
-    skipped: tuple[str, ...]  # conditions this driver could not lower
+    skipped: tuple[str, ...]  # conditions the live host could not lower
     # surfaced as a count so CLI output and JSON payloads can report
     # partial coverage without string-matching the skip reasons; a real
     # field (so it serialises) but always derived — see __post_init__
     skipped_count: int = 0
     duplicates_seen: int = 0  # gossip-level duplicate summaries, all nodes
-    injected: tuple[str, ...] = ()  # conditions lowered onto the runtime
+    injected: tuple[str, ...] = ()  # conditions lowered onto the live host
     injected_count: int = 0  # derived, like skipped_count
     chaos_eaten: int = 0  # datagrams the chaos layer dropped/capped/blocked
-    chaos_delayed: int = 0  # datagrams forwarded late through the delay line
+    chaos_delayed: int = 0  # datagrams deferred through loop.call_later
     chaos_oneway_dropped: int = 0  # datagrams eaten by a one-way (directed) cut
 
     def __post_init__(self) -> None:
@@ -174,41 +168,33 @@ class _Feeder:
         self.stop = None if sender.stop is None else sender.stop * scale
         self.next = sender.start * scale + self.arrivals.next_interval(self.rng) * scale
 
-    def due(self, now: float) -> bool:
-        if self.stop is not None and self.next >= self.stop:
-            return False
-        return self.next <= now
-
     def advance(self) -> None:
         self.next += self.arrivals.next_interval(self.rng) * self.scale
 
 
-# condition -> how each live driver lowers it; the key set is the shared
-# classification, only the wording after ": " differs. Keeping the
-# condition labels ("loss window", "crash window", ...) identical across
-# drivers lets the parity tests match markers without caring which
-# runtime produced the report.
-_THREADED_LOWERING = {
-    "chaos": "chaos transport",
-    "crash": "real node stop/restart",
-    "unknown": "no threaded lowering",
+# condition -> how the live host lowers it, whichever front door (one
+# in-process host, or one host per worker process) runs it
+_LIVE_LOWERING = {
+    "chaos": "chaos rules at every send",
+    "crash": "live node stop/restart",
+    "unknown": "no live lowering",
     "churn": "live join/leave",
     "topology": "chaos link delays",
     "partial": "live partial views on the wire",
 }
-_PROCESS_LOWERING = {
-    "chaos": "socket-layer chaos rules",
-    "crash": "real worker-side node stop/restart",
-    "unknown": "no process lowering",
-    "churn": "live join/leave across workers",
-    "topology": "socket-layer chaos delays",
-    "partial": "live partial views over UDP",
-}
 
 
-def _condition_coverage(
-    spec: ScenarioSpec, lowering: dict
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def live_coverage(spec: ScenarioSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The ``(injected, skipped)`` condition split for the live drivers.
+
+    Pure classification — no cluster is built, so the CLI's coverage
+    listing and the registry-wide parity tests can audit every scenario
+    in microseconds. Both live drivers run the same host and the same
+    lowering, so one split holds for both; ``run_scenario_threaded`` and
+    ``run_scenario_process`` derive their reports' ``injected``/
+    ``skipped`` tuples from this function, so the audit can never drift
+    from what a run actually does.
+    """
     injected: list[str] = []
     skipped: list[str] = []
 
@@ -218,7 +204,7 @@ def _condition_coverage(
     losses, partitions = count(LossWindow), count(PartitionWindow)
     caps, crashes = count(BandwidthCapWindow), count(CrashWindow)
     oneways, link_losses = count(AsymmetricPartitionWindow), count(LinkLossWindow)
-    chaos, crash = lowering["chaos"], lowering["crash"]
+    chaos, crash = _LIVE_LOWERING["chaos"], _LIVE_LOWERING["crash"]
     if losses:
         injected.append(f"{losses} loss window(s): {chaos}")
     if link_losses:
@@ -235,58 +221,38 @@ def _condition_coverage(
     _, not_lowered = lower_timed_conditions(spec, None, 1.0, ())
     if not_lowered:
         skipped.append(
-            f"{len(not_lowered)} unrecognised fault window(s): {lowering['unknown']}"
+            f"{len(not_lowered)} unrecognised fault window(s): {_LIVE_LOWERING['unknown']}"
         )
     if len(spec.churn):
-        injected.append(f"{len(spec.churn)} churn event(s): {lowering['churn']}")
+        injected.append(f"{len(spec.churn)} churn event(s): {_LIVE_LOWERING['churn']}")
     if spec.topology is not None:
-        injected.append(f"topology/latency model: {lowering['topology']}")
+        injected.append(f"topology/latency model: {_LIVE_LOWERING['topology']}")
     if spec.baseline_loss is not None:
         injected.append(f"baseline loss model: {chaos}")
     if spec.membership == "partial":
-        injected.append(f"partial membership: {lowering['partial']}")
+        injected.append(f"partial membership: {_LIVE_LOWERING['partial']}")
     return tuple(injected), tuple(skipped)
 
 
-def threaded_coverage(spec: ScenarioSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The ``(injected, skipped)`` condition split for the threaded driver.
-
-    Pure classification — no cluster is built, so the CLI's coverage
-    listing and the registry-wide parity test can audit every scenario
-    in microseconds. ``run_scenario_threaded`` derives its report's
-    ``injected``/``skipped`` tuples from this same function, so the
-    audit can never drift from what a run actually does.
-    """
-    return _condition_coverage(spec, _THREADED_LOWERING)
-
-
-def process_coverage(spec: ScenarioSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The ``(injected, skipped)`` condition split for the process driver.
-
-    Same pure classification as :func:`threaded_coverage` — the process
-    workers lower the identical condition vocabulary (chaos rules sit at
-    the UDP socket layer instead of the in-memory transport; crash and
-    churn stop/restart real asyncio nodes inside the owning worker), so
-    the condition labels match and only the lowering wording differs.
-    """
-    return _condition_coverage(spec, _PROCESS_LOWERING)
+# per-driver spellings of the same split, for callers that name a driver
+threaded_coverage = process_coverage = live_coverage
 
 
 def lower_timed_conditions(spec: ScenarioSpec, target, scale: float, feeders):
     """Lower every timed condition onto ``(wall_time, seq, thunk)`` triples.
 
-    The one lowering both live drivers share. ``target`` is duck-typed:
-    ``chaos`` (the driver's :class:`~repro.runtime.transport.ChaosRules`,
+    The one lowering of the live host. ``target`` is duck-typed:
+    ``chaos`` (the host's :class:`~repro.runtime.transport.ChaosRules`,
     present whenever the spec has a wire fault — see
     ``ScenarioSpec.wire_conditions``), ``set_capacity(node, capacity)``
     (ignoring nodes the target does not host), ``crash_node``,
-    ``join_node`` and ``leave_node``. :class:`ThreadedCluster` is one
-    such target; each process-driver ``ShardWorker`` is another, acting
-    on its own nodes, feeders and rule-set copy while every worker
-    replays the same schedule. ``target`` is only touched when a thunk
-    fires, never here.
+    ``join_node`` and ``leave_node``. :class:`ThreadedCluster` is the
+    target: hosting the whole group, or one shard of it in each worker
+    process, where it acts on its own nodes, feeders and rule-set copy
+    while every shard replays the same schedule. ``target`` is only
+    touched when a thunk fires, never here.
 
-    The complement of the t=0 work the drivers do pre-start (t=0
+    The complement of the t=0 work the host does pre-start (t=0
     capacity overrides, baseline loss/latency on the chaos rules):
     resource changes go to ``set_capacity`` and the ``feeders``, loss/
     partition/bandwidth windows mutate the chaos rule set, crash windows
@@ -391,10 +357,10 @@ def run_scenario_threaded(
     """Drive a scenario on :class:`~repro.runtime.cluster.ThreadedCluster`.
 
     ``wall_seconds`` bounds the run (default: the whole scenario at the
-    scaled clock). The feeder-and-fault loop runs on the calling thread:
-    it paces offers through each sender node's admission queue and fires
-    every scheduled condition — capacity/rate changes, chaos-rule
-    updates, node crash/restart, churn — at its scaled offset.
+    scaled clock). Every node runs in this process, over the memory hop
+    by default; the host paces the offers and fires every scheduled
+    condition on its own event loop. A failure inside the loop is
+    raised here.
     """
     scale = gossip_period / spec.system.gossip_period
     wall = spec.duration * scale if wall_seconds is None else wall_seconds
@@ -402,70 +368,36 @@ def run_scenario_threaded(
     # closes windows itself, so it must reject ambiguous overlapping
     # same-kind windows just as loudly (specs validate at construction,
     # but FaultScript is a mutable value that may have grown since) —
-    # and before any thread or transport exists
+    # and before any node exists
     spec.faults.validate()
     cluster = ThreadedCluster.from_scenario(
         spec, gossip_period=gossip_period, transport=transport
     )
-    injected, skipped = threaded_coverage(spec)
-
-    feeders = [_Feeder(sender, scale, spec.seed) for sender in spec.senders]
-    actions, _ = lower_timed_conditions(spec, cluster, scale, feeders)
-    offers = 0
-    next_action = 0
-
     cluster.start()
-    t0 = time.monotonic()
     try:
-        while True:
-            now = time.monotonic() - t0
-            if now >= wall:
-                break
-            while next_action < len(actions) and actions[next_action][0] <= now:
-                _, _, fire = actions[next_action]
-                next_action += 1
-                fire()
-            wake = t0 + now + 0.02
-            for feeder in feeders:
-                while feeder.due(now):
-                    cluster.broadcast(feeder.node)
-                    offers += 1
-                    feeder.advance()
-                if feeder.stop is None or feeder.next < feeder.stop:
-                    wake = min(wake, t0 + feeder.next)
-            if next_action < len(actions):
-                wake = min(wake, t0 + actions[next_action][0])
-            pause = wake - time.monotonic()
-            if pause > 0:
-                time.sleep(min(pause, 0.02))
+        cluster.wait(wall)
     finally:
         cluster.stop()
 
-    # threads are joined: protocol state is safe to read now (restarted
+    # the loop is joined: protocol state is safe to read now (restarted
     # nodes report their current incarnation — a fresh process's counts,
     # exactly what a real redeploy would show)
-    member_ids = sorted(cluster.nodes)
-    delivered = [
-        cluster.protocol_of(node).stats.events_delivered for node in member_ids
-    ]
-    duplicates = sum(
-        getattr(cluster.protocol_of(node).stats, "duplicates_seen", 0)
-        for node in member_ids
-    )
-    admitted = sum(node.offers_admitted for node in cluster.nodes.values())
+    stats = [node.protocol.stats for node in cluster.nodes.values()]
+    delivered = [s.events_delivered for s in stats]
+    injected, skipped = live_coverage(spec)
     chaos = cluster.chaos
     return ThreadedScenarioReport(
         scenario=spec.name,
         n_nodes=spec.n_nodes,
         wall_seconds=wall,
         time_scale=scale,
-        offers=offers,
-        admitted=admitted,
+        offers=cluster.offers,
+        admitted=int(cluster.metrics.admitted.count()),
         delivered_total=sum(delivered),
         delivered_min=min(delivered),
         delivered_max=max(delivered),
         skipped=skipped,
-        duplicates_seen=duplicates,
+        duplicates_seen=sum(getattr(s, "duplicates_seen", 0) for s in stats),
         injected=injected,
         chaos_eaten=0 if chaos is None else chaos.stats.eaten,
         chaos_delayed=0 if chaos is None else chaos.stats.delayed,
@@ -496,7 +428,7 @@ class ProcessScenarioReport:
     delivered_total: int
     delivered_min: int
     delivered_max: int
-    skipped: tuple[str, ...]  # conditions this driver could not lower
+    skipped: tuple[str, ...]  # conditions the live host could not lower
     skipped_count: int = 0  # derived — see __post_init__
     duplicates_seen: int = 0  # gossip-level duplicate summaries, all nodes
     injected: tuple[str, ...] = ()  # conditions lowered onto the workers
@@ -522,13 +454,14 @@ def run_scenario_process(
 ) -> ProcessScenarioReport:
     """Drive a scenario on :class:`~repro.runtime.process_cluster.ProcessCluster`.
 
-    Same time scaling and condition vocabulary as
+    Same host, time scaling and condition vocabulary as
     :func:`run_scenario_threaded`, but the group is sharded across
     ``workers`` OS processes gossiping over real UDP sockets; feeders,
-    chaos windows, crash/restart and churn all fire inside the owning
-    worker's event loop (see :mod:`repro.runtime.worker`). The report's
-    ``injected``/``skipped`` tuples come from :func:`process_coverage`,
-    so coverage is audited, not asserted.
+    chaos windows, crash/restart and churn all fire on the event loop of
+    the worker hosting the shard (see :mod:`repro.runtime.worker`). The
+    report's ``injected``/``skipped`` tuples come from
+    :func:`live_coverage`, so coverage is audited, not asserted. A
+    worker's failure is raised here.
     """
     # imported lazily: the process driver pulls in multiprocessing and
     # the asyncio worker, which sim-only callers never need
@@ -536,7 +469,7 @@ def run_scenario_process(
 
     cluster = ProcessCluster(spec, gossip_period=gossip_period, n_workers=workers)
     result = cluster.run(wall_seconds=wall_seconds)
-    injected, skipped = process_coverage(spec)
+    injected, skipped = live_coverage(spec)
     delivered = sorted(result.delivered.values()) or [0]
     return ProcessScenarioReport(
         scenario=spec.name,

@@ -287,10 +287,10 @@ class ScenarioSpec:
 
         True when a topology/latency model, a baseline loss model, or
         any network fault window (loss/partition/bandwidth — anything
-        but a pure crash schedule) is present. The threaded driver uses
-        this to decide whether endpoints need the
-        :class:`~repro.runtime.transport.ChaosTransport` wrapper; crash
-        windows and churn act on nodes, not the wire, and need none.
+        but a pure crash schedule) is present. The live host uses this to
+        decide whether its sends consult a
+        :class:`~repro.runtime.transport.ChaosRules` set; crash windows
+        and churn act on nodes, not the wire, and need none.
         """
         if self.topology is not None or self.baseline_loss is not None:
             return True

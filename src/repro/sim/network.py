@@ -44,10 +44,10 @@ Handler = Callable[[Any, Address, float], None]
 # ----------------------------------------------------------------------
 # shared network-rule building blocks
 #
-# The threaded runtime's ChaosTransport injects the same conditions this
+# The live runtime's ChaosRules decide the same conditions this
 # simulated network models; partition semantics and bandwidth-window
-# accounting live here, once, so the two drivers cannot silently
-# diverge (driver parity is asserted scenario-by-scenario in CI).
+# accounting live here, once, so the drivers cannot silently diverge
+# (driver parity is asserted scenario-by-scenario in CI).
 # ----------------------------------------------------------------------
 def build_partition_map(groups) -> dict:
     """``address -> group id`` for a partition; unmentioned addresses
@@ -85,8 +85,8 @@ class RateWindow:
     Once ``rate`` messages have entered within a window, further sends
     in that window are refused — a blunt but deterministic model of a
     saturated link or switch. ``rate=None`` disables the cap. The clock
-    is the caller's (virtual time for the simulator, wall time for the
-    chaos transport); only window identity ``int(now)`` matters.
+    is the caller's (virtual time for the simulator, spec time for the
+    live chaos rules); only window identity ``int(now)`` matters.
     """
 
     __slots__ = ("rate", "_window", "_used")

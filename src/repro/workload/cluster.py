@@ -5,7 +5,7 @@
 membership, one protocol instance per node, round dispatch, senders, and
 a :class:`~repro.metrics.collector.MetricsCollector`. The shared wiring
 (factory resolution, metrics binding, directory) lives in the
-:class:`~repro.driver.Driver` base class that the threaded runtime's
+:class:`~repro.driver.Driver` base class that the live runtime's
 cluster also builds on.
 
 It reproduces the paper's experimental setting with defaults of 60 nodes,

@@ -1,44 +1,38 @@
-"""Tests for the fault-injecting chaos transport layer."""
+"""Tests for the chaos rule set every live send consults."""
 
 import random
 import time
 
 import pytest
 
+from repro.gossip.config import SystemConfig
+from repro.runtime.cluster import ThreadedCluster
 from repro.runtime.transport import (
     ChaosRules,
-    ChaosTransport,
     InMemoryHub,
     Transport,
+    UdpTransport,
 )
 from repro.sim.network import BernoulliLoss, ConstantLatency, UniformLatency
+from repro.sim.rng import derive_seed
 
 
-class RecordingInner:
-    """A stub Transport that records what actually hit the wire."""
-
-    def __init__(self, address="stub"):
-        self.address = address
-        self.sent = []
-
-    def send(self, dest, data):
-        self.sent.append((dest, data))
-        return True
-
-    def recv(self, timeout):
-        return None
-
-    def close(self):
-        pass
+def passed(rules, node, seed, n=200, dest="d"):
+    """Which of ``n`` sends from ``node`` the rules let through, drawing
+    from the stream a live node of run ``seed`` decides with."""
+    rng = random.Random(derive_seed(seed, "chaos", node))
+    return [i for i in range(n) if rules.plan(node, dest, rng) is not None]
 
 
 def test_transports_satisfy_the_protocol():
     hub = InMemoryHub()
     raw = hub.create("a")
     assert isinstance(raw, Transport)
-    wrapped = ChaosTransport(raw, ChaosRules(), "a", seed=1)
-    assert isinstance(wrapped, Transport)
-    assert wrapped.address == raw.address
+    udp = UdpTransport()
+    try:
+        assert isinstance(udp, Transport)
+    finally:
+        udp.close()
 
 
 def test_same_seed_same_drop_decisions():
@@ -46,18 +40,18 @@ def test_same_seed_same_drop_decisions():
 
     def pattern(seed):
         rules = ChaosRules(loss=BernoulliLoss(0.4))
-        inner = RecordingInner()
-        transport = ChaosTransport(inner, rules, node=3, seed=seed)
-        results = [
-            transport.send("d", i.to_bytes(2, "big")) for i in range(200)
-        ]
-        rules.close()
-        assert all(results)  # chaos drops are invisible to the caller
-        return [int.from_bytes(data, "big") for _, data in inner.sent]
+        return passed(rules, 3, seed)
 
     assert pattern(7) == pattern(7)
     # and a different seed gives a different drop pattern (p ~ 1 - 2^-200)
     assert pattern(7) != pattern(8)
+    # the live node of node id 3 decides with exactly that stream
+    cluster = ThreadedCluster(4, seed=7)
+    try:
+        expected = random.Random(derive_seed(7, "chaos", 3))
+        assert cluster.nodes[3].chaos_rng.getstate() == expected.getstate()
+    finally:
+        cluster.stop()
 
 
 def test_same_seed_same_delay_draws():
@@ -118,47 +112,62 @@ def test_cap_validation():
 
 
 def test_delayed_datagrams_arrive_late_but_arrive():
-    hub = InMemoryHub()
-    a_raw = hub.create("a")
-    b = hub.create("b")
     rules = ChaosRules(latency=ConstantLatency(0.05))
-    a = ChaosTransport(a_raw, rules, "a", seed=1)
-    t0 = time.monotonic()
-    for i in range(3):
-        assert a.send("b", bytes([i]))
-    assert b.recv(0.0) is None  # nothing on the wire yet: all in flight
-    got = [b.recv(1.0) for _ in range(3)]
-    elapsed = time.monotonic() - t0
-    assert [data for data, _ in got] == [b"\x00", b"\x01", b"\x02"]
-    assert elapsed >= 0.05
-    assert rules.stats.delayed == 3
+    cluster = ThreadedCluster(
+        2,
+        system=SystemConfig(gossip_period=0.03, buffer_capacity=64, dedup_capacity=512),
+        chaos=rules,
+        seed=1,
+    )
+    cluster.start()
+    try:
+        for i in range(3):
+            cluster.broadcast(0, i)
+        time.sleep(0.6)
+    finally:
+        cluster.stop()
+    assert cluster.protocol_of(1).stats.events_delivered == 3
+    for record in cluster.metrics.messages.values():
+        assert record.receiver_count == 2
+        assert record.last_delivery - record.broadcast_time >= 0.05
+    assert rules.stats.delayed > 0
+    assert rules.stats.sent > 0
+
+
+def test_delay_line_close_drops_pending():
+    # the delay line is the loop's timer queue: a datagram delayed past
+    # stop() dies with the loop on the UDP hop too, and the rules' own
+    # close() (a no-op now) cannot resurrect it
+    rules = ChaosRules(latency=ConstantLatency(5.0))
+    cluster = ThreadedCluster(
+        2,
+        system=SystemConfig(gossip_period=0.03, buffer_capacity=64, dedup_capacity=512),
+        chaos=rules,
+        transport="udp",
+        seed=1,
+    )
+    cluster.start()
+    cluster.broadcast(0, "late")
+    time.sleep(0.3)
+    started = time.monotonic()
+    cluster.stop()
     rules.close()
+    assert time.monotonic() - started < 1.0
+    assert rules.stats.delayed > 0
+    assert rules.stats.sent == 0
+    assert cluster.protocol_of(1).stats.events_delivered == 0
 
 
 def test_rule_updates_apply_mid_stream():
     rules = ChaosRules()
-    inner = RecordingInner()
-    transport = ChaosTransport(inner, rules, node=0, seed=0)
-    transport.send("d", b"1")
+    rng = random.Random(0)
+    verdicts = [rules.plan(0, "d", rng)]
     rules.set_loss(BernoulliLoss(1.0))  # now everything drops
-    transport.send("d", b"2")
-    transport.send("d", b"3")
+    verdicts += [rules.plan(0, "d", rng), rules.plan(0, "d", rng)]
     rules.set_loss(None)
-    transport.send("d", b"4")
-    assert [data for _, data in inner.sent] == [b"1", b"4"]
+    verdicts.append(rules.plan(0, "d", rng))
+    assert verdicts == [0.0, None, None, 0.0]
     assert rules.stats.dropped == 2
-    rules.close()
-
-
-def test_delay_line_close_drops_pending():
-    hub = InMemoryHub()
-    a_raw = hub.create("a")
-    b = hub.create("b")
-    rules = ChaosRules(latency=ConstantLatency(5.0))
-    a = ChaosTransport(a_raw, rules, "a", seed=1)
-    a.send("b", b"late")
-    rules.close()  # pending delayed datagram is dropped, thread joins
-    assert b.recv(0.05) is None
 
 
 def test_oneway_cut_blocks_one_direction_only():
@@ -203,22 +212,16 @@ def test_link_loss_draws_rng_only_for_matrix_pairs():
 
 
 def test_restart_reseeds_the_same_chaos_stream():
-    """A crashed-and-restarted node rebuilds its ChaosTransport from the
-    same derived seed (the cluster derives it from (seed, "chaos", node)),
-    so the restarted node replays the identical drop pattern — restarts
-    do not fork the chaos timeline."""
-
-    def wire_pattern(run):
-        rules = ChaosRules(loss=BernoulliLoss(0.4))
-        rules.set_link_loss({("x", "d"): 0.3})
-        inner = RecordingInner()
-        transport = ChaosTransport(inner, rules, node="x", seed=99)
-        for i in range(200):
-            transport.send("d", i.to_bytes(2, "big"))
-        rules.close()
-        return [int.from_bytes(data, "big") for _, data in inner.sent]
-
-    first_life = wire_pattern(0)
-    restarted = wire_pattern(1)  # a fresh transport, same node + seed
-    assert first_life == restarted
-    assert 0 < len(first_life) < 200  # chaos actually ate something
+    """A crashed-and-restarted node decides with a fresh stream from the
+    same derived seed ``(seed, "chaos", node)``, so the restarted node
+    replays the identical drop pattern — restarts do not fork the chaos
+    timeline."""
+    cluster = ThreadedCluster(4, seed=99)
+    try:
+        first_life = cluster.nodes[2].chaos_rng.getstate()
+        cluster.crash_node(2)
+        restarted = cluster.join_node(2)
+        assert restarted is cluster.nodes[2] and restarted.is_alive()
+        assert restarted.chaos_rng.getstate() == first_life
+    finally:
+        cluster.stop()

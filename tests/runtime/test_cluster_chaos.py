@@ -12,6 +12,7 @@ import time
 from repro.gossip.config import SystemConfig
 from repro.runtime.cluster import ThreadedCluster
 from repro.runtime.transport import ChaosRules
+from repro.sim.network import ConstantLatency
 
 N = 8
 SYSTEM = SystemConfig(
@@ -98,8 +99,8 @@ def test_leave_is_graceful_and_idempotent():
         time.sleep(0.4)
     finally:
         cluster.stop()
-    # by teardown at the latest, the unsubscribe ran on the node thread
-    # (the grace period is non-blocking; stop() joins everything)
+    # the unsubscribe ran on the loop (the grace period before the node
+    # stops is a non-blocking loop timer; stop() joins everything)
     assert cluster.protocol_of(leaver).membership.unsubscribed
     # the group keeps working without the leaver
     others = [n for n in cluster.nodes if n != leaver]
@@ -108,8 +109,8 @@ def test_leave_is_graceful_and_idempotent():
 
 def test_leave_then_rejoin_within_the_grace_window():
     # a graceful leave defers its shutdown on a timer; rejoining before
-    # it fires must supersede it, and the timer's late endpoint close
-    # must not unregister the rejoined node's fresh endpoint
+    # it fires must supersede it, and the timer's late stop of the old
+    # incarnation must not unregister the rejoined node's route
     cluster = make_cluster(membership="partial", view_size=4)
     cluster.start()
     try:
@@ -121,7 +122,7 @@ def test_leave_then_rejoin_within_the_grace_window():
         grace = 0.05 + SYSTEM.gossip_period * 1.2
         time.sleep(grace + 0.2)  # outlive the grace timer
         assert node.is_alive()
-        assert n in cluster._hub.addresses()  # still routable
+        assert cluster._routes[n] is node  # still routable
     finally:
         cluster.stop()
 
@@ -142,8 +143,17 @@ def test_join_grows_the_group():
 
 
 def test_stop_closes_chaos_delay_line():
-    rules = ChaosRules()
+    # every link takes 5 s: all gossip is still in flight at stop(), which
+    # must not wait for it — the delay line is the loop's timer queue, and
+    # its pending timers die with the loop
+    rules = ChaosRules(latency=ConstantLatency(5.0))
     cluster = make_cluster(chaos=rules)
     cluster.start()
+    cluster.broadcast(0, "late")
+    time.sleep(0.3)
+    started = time.monotonic()
     cluster.stop()
-    assert rules.delay_line._closed
+    assert time.monotonic() - started < 1.0
+    assert rules.stats.delayed > 0
+    assert rules.stats.sent == 0
+    assert all(delivered(cluster)[n] == 0 for n in range(1, N))

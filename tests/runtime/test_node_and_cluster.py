@@ -1,20 +1,19 @@
-"""Tests for the threaded runtime node and cluster.
+"""Tests for the live host and its nodes.
 
 These use short gossip periods (tens of milliseconds) so each test
 completes in about a second of wall time. Assertions are kept robust to
 scheduling noise — they check reachability and counters, not timing.
 """
 
+import socket
 import time
 
 import pytest
 
 from repro.core.config import AdaptiveConfig
 from repro.gossip.config import SystemConfig
+from repro.gossip.lpbcast import LpbcastProtocol
 from repro.runtime.cluster import ThreadedCluster
-from repro.runtime.codec import BinaryCodec
-from repro.runtime.node import RuntimeNode
-from repro.runtime.transport import InMemoryHub
 
 
 def fast_system(**kw):
@@ -97,38 +96,20 @@ def test_adaptive_cluster_headers_flow():
 
 
 def test_malformed_datagram_does_not_kill_node():
-    hub = InMemoryHub()
-    cluster_side = hub.create("node")
-    attacker = hub.create("attacker")
-
-    import random
-
-    from repro.gossip.lpbcast import LpbcastProtocol
-    from repro.membership.full import Directory, FullMembershipView
-
-    directory = Directory(["node", "peer"])
-    proto = LpbcastProtocol(
-        "node",
-        fast_system(),
-        FullMembershipView(directory, "node"),
-        random.Random(1),
-    )
-    node = RuntimeNode(
-        proto,
-        cluster_side,
-        BinaryCodec(),
-        {"node": "node", "peer": "peer"}.get,
-        gossip_period=0.05,
-    )
-    node.start()
+    cluster = ThreadedCluster(2, system=fast_system(), transport="udp", seed=1)
+    cluster.start()
+    attacker = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
-        attacker.send("node", b"\xde\xad\xbe\xef")
-        attacker.send("node", b"")
+        target = cluster.nodes[0].sock.getsockname()
+        attacker.sendto(b"\xde\xad\xbe\xef", target)
+        attacker.sendto(b"", target)
         time.sleep(0.3)
-        assert node.is_alive()
-        assert node.decode_errors == 2
+        assert cluster.nodes[0].is_alive()
+        assert cluster.decode_errors == 2
+        assert not cluster.failed
     finally:
-        node.shutdown()
+        attacker.close()
+        cluster.stop()
 
 
 def test_offers_respect_admission():
@@ -153,40 +134,16 @@ def test_offers_respect_admission():
 
 
 def test_send_failures_counted_for_unknown_dest():
-    hub = InMemoryHub()
-    endpoint = hub.create("n")
-
-    import random
-
-    from repro.gossip.lpbcast import LpbcastProtocol
-    from repro.membership.full import Directory, FullMembershipView
-
-    directory = Directory(["n", "missing"])
-    proto = LpbcastProtocol(
-        "n",
-        fast_system(),
-        FullMembershipView(directory, "n"),
-        random.Random(1),
-    )
-    node = RuntimeNode(
-        proto,
-        endpoint,
-        BinaryCodec(),
-        lambda dest: None,  # resolver knows nobody
-        gossip_period=0.03,
-    )
-    node.broadcast("payload")
-    node.start()
-    time.sleep(0.3)
-    node.shutdown()
-    assert node.send_failures > 0
+    # node 2 is a member but hosted nowhere: the memory hop has no route
+    cluster = ThreadedCluster(3, system=fast_system(), seed=1, hosted=(0, 1))
+    assert sorted(cluster.nodes) == [0, 1]
+    cluster.run_for(0.3)
+    assert cluster.send_failures > 0
 
 
 def test_gossip_period_validated():
-    hub = InMemoryHub()
-    endpoint = hub.create("n")
     with pytest.raises(ValueError):
-        RuntimeNode(None, endpoint, BinaryCodec(), lambda d: d, gossip_period=0)
+        ThreadedCluster(2, system=fast_system(gossip_period=0))
 
 
 def test_bimodal_over_threaded_runtime():
@@ -270,3 +227,71 @@ def test_adaptive_bimodal_over_threaded_runtime():
         cluster.stop()
     assert cluster.protocol_of(1).stats.events_delivered >= 1
     assert cluster.protocol_of(1).min_buff_estimate == 64
+
+
+class _FailsOnNode1(LpbcastProtocol):
+    def on_receive_batch(self, messages, now):
+        if self.node_id == 1:
+            raise RuntimeError("boom")
+        return super().on_receive_batch(messages, now)
+
+
+def _failing_factory(node_id, system, membership, rng, deliver_fn, drop_fn, now):
+    return _FailsOnNode1(node_id, system, membership, rng, deliver_fn, drop_fn)
+
+
+def test_a_raising_protocol_callback_fails_the_run():
+    cluster = ThreadedCluster(4, system=fast_system(), protocol=_failing_factory, seed=6)
+    cluster.start()
+    for i in range(5):
+        cluster.broadcast(0, f"m{i}")
+    assert cluster.wait(2.0), "the failure never surfaced"
+    with pytest.raises(RuntimeError, match=r"node 1: on_receive_batch raised .*boom") as info:
+        cluster.stop()
+    assert isinstance(info.value.__cause__, RuntimeError)
+    assert not cluster.nodes[1].is_alive()
+
+
+def test_a_raising_scheduled_condition_fails_the_run():
+    cluster = ThreadedCluster(3, system=fast_system(), seed=1)
+
+    def explode():
+        raise ValueError("bad window")
+
+    cluster.actions = [(0.05, 0, explode)]
+    cluster.start()
+    assert cluster.wait(2.0)
+    with pytest.raises(RuntimeError, match="scheduled condition 'explode' due at 0.050s"):
+        cluster.stop()
+
+
+def test_run_scenario_threaded_raises_a_loop_failure(monkeypatch):
+    from repro.scenarios.registry import get_scenario
+    from repro.scenarios.runner import run_scenario_threaded, smoke_profile
+
+    def boom(self, messages, now):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(LpbcastProtocol, "on_receive_batch", boom)
+    spec = get_scenario("overload-baseline", smoke_profile()).with_horizon(6.0)
+    with pytest.raises(RuntimeError, match="on_receive_batch raised"):
+        run_scenario_threaded(spec)
+
+
+def test_no_delivery_is_stamped_after_stop_plus_one_period():
+    # stop() halts every node in one loop callback: nothing keeps
+    # gossiping past the moment it was called
+    system = SystemConfig(gossip_period=0.1, buffer_capacity=60, dedup_capacity=600)
+    cluster = ThreadedCluster(48, system=system, seed=7)
+    cluster.start()
+    try:
+        for i in range(60):
+            cluster.broadcast(i % 48)
+            time.sleep(0.02)
+    finally:
+        stopped_at = cluster.clock()
+        cluster.stop()
+    records = cluster.metrics.messages.values()
+    assert any(r.receiver_count == 48 for r in records)  # gossip did run
+    latest = max(r.last_delivery for r in records)
+    assert latest <= stopped_at + system.gossip_period

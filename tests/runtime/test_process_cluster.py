@@ -15,10 +15,12 @@ Three properties the process driver must hold beyond scenario parity:
 
 import multiprocessing
 import socket
+import threading
 import time
 
 import pytest
 
+from repro.gossip.lpbcast import LpbcastProtocol
 from repro.runtime.process_cluster import (
     ProcessCluster,
     scenario_identities,
@@ -219,3 +221,41 @@ def test_no_processes_leak_after_a_failed_startup():
     finally:
         for sock in holders:
             sock.close()
+
+
+# ----------------------------------------------------------------------
+# failures inside a worker's loop
+# ----------------------------------------------------------------------
+def test_a_worker_failure_reaches_the_parent(monkeypatch):
+    # the worker runs on a thread of this process so the patched
+    # protocol reaches it; the parent's collector reads its answer
+    def boom(self, messages, now):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(LpbcastProtocol, "on_receive_batch", boom)
+    spec = get_scenario("overload-baseline", smoke_profile()).with_horizon(30.0)
+    identities = scenario_identities(spec)
+    cfg = WorkerConfig(
+        worker_id=0,
+        n_workers=1,
+        spec=spec,
+        nodes=tuple(identities),
+        port_map=seeded_port_map(identities, spec.seed),
+        gossip_period=0.1,
+        wall_seconds=3.0,
+    )
+    parent_conn, child_conn = multiprocessing.Pipe()
+    worker = threading.Thread(target=worker_main, args=(child_conn,))
+    worker.start()
+    try:
+        parent_conn.send(("configure", cfg))
+        assert parent_conn.recv() == ("ready", 0)
+        parent_conn.send(("start",))
+        cluster = ProcessCluster(spec, n_workers=1)
+        cluster._conns = [parent_conn]
+        with pytest.raises(RuntimeError, match="worker 0 failed: node .*on_receive_batch raised"):
+            cluster._collect(cfg.wall_seconds)
+    finally:
+        worker.join(timeout=10.0)
+        parent_conn.close()
+    assert not worker.is_alive()

@@ -107,12 +107,11 @@ def test_parse_oneway_rejects_garbage():
 def test_build_chaos_is_none_without_flags():
     from repro.runtime.standalone import _build_chaos, build_parser
 
-    peers = {0: ("127.0.0.1", 9500), 1: ("127.0.0.1", 9501)}
     args = build_parser().parse_args(["--node-id", "0"])
-    assert _build_chaos(args, peers) is None
+    assert _build_chaos(args) is None
     args = build_parser().parse_args(
         ["--node-id", "0", "--chaos-oneway", "0>1",
          "--chaos-link-loss", "0:1:0.5"]
     )
-    rules = _build_chaos(args, peers)
+    rules = _build_chaos(args)
     assert rules is not None

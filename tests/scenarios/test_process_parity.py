@@ -1,7 +1,7 @@
 """Driver parity: every library scenario fully lowers onto worker processes.
 
 The process-driver mirror of ``test_threaded_parity``: the coverage
-audit (:func:`repro.scenarios.runner.process_coverage`) is the same
+audit (:func:`repro.scenarios.runner.live_coverage`) is the same
 classification ``run_scenario_process`` derives its report's
 ``injected``/``skipped`` tuples from, so asserting it over the whole
 registry pins ``skipped_count == 0`` for every shipped scenario without
@@ -14,17 +14,16 @@ import pytest
 
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.runner import (
-    process_coverage,
+    live_coverage,
     run_scenario_process,
     smoke_profile,
-    threaded_coverage,
 )
 
 
 @pytest.mark.parametrize("name", scenario_names())
 def test_process_driver_skips_nothing_in_the_library(name):
     spec = get_scenario(name, smoke_profile())
-    injected, skipped = process_coverage(spec)
+    injected, skipped = live_coverage(spec)
     assert skipped == (), (
         f"scenario {name!r} has conditions the process driver cannot "
         f"lower: {skipped}"
@@ -35,7 +34,7 @@ def test_every_condition_kind_appears_injected_somewhere():
     # the library collectively exercises every lowering path
     seen = set()
     for name in scenario_names():
-        injected, _ = process_coverage(get_scenario(name, smoke_profile()))
+        injected, _ = live_coverage(get_scenario(name, smoke_profile()))
         seen.update(injected)
     text = " | ".join(seen)
     for marker in (
@@ -51,20 +50,6 @@ def test_every_condition_kind_appears_injected_somewhere():
         "partial membership",
     ):
         assert marker in text, f"no library scenario injects {marker!r}"
-
-
-def test_process_coverage_matches_threaded_condition_labels():
-    # the two live drivers classify the *same* conditions; only the
-    # lowering wording after ": " may differ — so a scenario can never
-    # be covered on one live driver and silently uncovered on the other
-    for name in scenario_names():
-        spec = get_scenario(name, smoke_profile())
-        t_injected, t_skipped = threaded_coverage(spec)
-        p_injected, p_skipped = process_coverage(spec)
-        t_labels = [item.split(": ")[0] for item in t_injected]
-        p_labels = [item.split(": ")[0] for item in p_injected]
-        assert t_labels == p_labels, name
-        assert len(t_skipped) == len(p_skipped), name
 
 
 def test_fault_scripted_scenario_runs_process_with_zero_skips():

@@ -1,6 +1,6 @@
-"""Driver parity: every library scenario fully lowers onto real threads.
+"""Driver parity: every library scenario fully lowers onto the live host.
 
-The coverage audit (:func:`repro.scenarios.runner.threaded_coverage`)
+The coverage audit (:func:`repro.scenarios.runner.live_coverage`)
 is the same classification ``run_scenario_threaded`` derives its
 report's ``injected``/``skipped`` tuples from, so asserting it over the
 whole registry pins ``skipped_count == 0`` for every shipped scenario
@@ -13,16 +13,16 @@ import pytest
 
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.runner import (
+    live_coverage,
     run_scenario_threaded,
     smoke_profile,
-    threaded_coverage,
 )
 
 
 @pytest.mark.parametrize("name", scenario_names())
 def test_threaded_driver_skips_nothing_in_the_library(name):
     spec = get_scenario(name, smoke_profile())
-    injected, skipped = threaded_coverage(spec)
+    injected, skipped = live_coverage(spec)
     assert skipped == (), (
         f"scenario {name!r} has conditions the threaded driver cannot "
         f"lower: {skipped}"
@@ -33,7 +33,7 @@ def test_every_condition_kind_appears_injected_somewhere():
     # the library collectively exercises every lowering path
     seen = set()
     for name in scenario_names():
-        injected, _ = threaded_coverage(get_scenario(name, smoke_profile()))
+        injected, _ = live_coverage(get_scenario(name, smoke_profile()))
         seen.update(injected)
     text = " | ".join(seen)
     for marker in (
