@@ -234,6 +234,27 @@ class MetricsCollector:
         self.drop_age_gauge.sample(time, age)
         self.drop_ages.append(age)
 
+    def on_drop_bulk(self, reason: str, time: float, ages: list[int]) -> None:
+        """``len(ages)`` drops of one reason at one instant, in one call.
+
+        Records exactly what one :meth:`on_drop` per age, in order, would
+        (the series take one integer-valued weight instead of that many
+        unit adds: the same float sums).
+        """
+        if not ages:
+            return
+        if reason == "age_out":
+            self.drops_age_out.add(time, len(ages))
+            return
+        if reason == "obsolete":
+            self.drops_obsolete.add(time, len(ages))
+            return
+        self.drops_overflow.add(time, len(ages))
+        sample = self.drop_age_gauge.sample
+        for age in ages:
+            sample(time, age)
+        self.drop_ages.extend(ages)
+
     # ------------------------------------------------------------------
     # gauges
     # ------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 :class:`VectorRoundExecutor` advances *all* nodes of a round-synchronous
 lpbcast group in bulk: one registered round member per cluster (not one
-per node), population-level columns indexed by node id (buffer contents,
-dedup membership, per-node counters), one batched target-sampling pass
-per round, and one delivery fold per instant. It is a drop-in third
-dispatch mode for :class:`~repro.workload.cluster.SimCluster`
+per node), integer rows and columns indexed by node id instead of
+per-node buffers and dedup stores (see *State layout* below), one batched
+target-sampling pass per round, and one delivery fold per instant. It is
+a drop-in third dispatch mode for :class:`~repro.workload.cluster.SimCluster`
 (``dispatch="vector"``): scenarios, sweeps and expectations lower onto it
 unchanged, and a run is **byte-identical** to the per-node ``"batched"``
 path — the same RNG streams are consumed draw for draw, so the
@@ -58,6 +58,34 @@ regime:
   :class:`~repro.sim.faults.FaultScript` lower onto the columnar lane
   unchanged.
 
+State layout
+------------
+The paper's two bounded per-node structures, the ``events`` buffer and
+the ``eventIds`` dedup store, become two integer rows per live event,
+indexed by node id, plus a few integer columns per node:
+
+* **buffer** — the event's *arrival sequence* at each node, ``-1`` where
+  the node does not buffer it; an occupancy column counts each node's
+  buffered events. A node's buffer in arrival order is its column
+  sorted, and eviction takes the smallest ``(birth round, arrival)``,
+  exactly the per-node buffer's choice;
+* **dedup store** — the event's *learn sequence* at each node, plus a
+  per-node learn counter and trim cursor. A store only ever loses its
+  oldest entries (the capacity trim) or all of them (a crash), so it
+  always holds exactly the learn sequences ``cursor .. counter - 1``:
+  a node knows an event iff the event's learn sequence there is at
+  least the node's cursor. A trim or a crash moves the cursor and
+  touches no row, and an event that aged out needs no storage at all —
+  it still counts toward the store's size until the cursor passes it.
+
+Events age out by birth round and births never decrease along event
+ordinals, so the live events are one contiguous ordinal range. Their
+rows live in a ring (slot = ordinal modulo a power-of-two capacity that
+doubles when full): a 2-D ``int64`` array on the numpy twin, a list of
+lists on the stdlib twin. Both twins share every body except the bulk
+ones (age-out, the tick-time spreading snapshot, the batched fold),
+which on numpy are column gathers and scatters over that array.
+
 Fault vocabulary on the columnar lane
 -------------------------------------
 Window edges (loss / partition / one-way / link-loss / bandwidth-cap
@@ -65,21 +93,25 @@ open and close) only matter at emission instants: arrivals already in
 flight carry their fate with them in both paths, and edges scheduled at
 a tick fire before the tick in both paths (``schedule_at`` from t=0 wins
 the FIFO tie). Crash and churn lower onto an alive-ordered emission list
-plus column resets: a crash clears the node's buffer/dedup columns (its
-in-flight summary is snapshotted first for any pending fold) and a
-restart re-admits the old identity with zeroed columns at a round tick —
-exactly the fresh-process semantics of the per-node driver. Sender
-crashes, brand-new identities and off-tick restarts stay per-node (see
+plus column resets: a crash clears the node's buffer column and moves its
+dedup cursor to its learn counter (its in-flight summary is snapshotted
+first for any pending fold), and a restart re-admits the old identity
+with an empty buffer and zeroed counters at a round tick — exactly the
+fresh-process semantics of the per-node driver. Sender crashes,
+brand-new identities and off-tick restarts stay per-node (see
 :func:`mega_schedule_reason`), as do the adaptive/bimodal protocol
 variants and partial views.
 
 The optional ``numpy`` fast path (``pip install .[accel]``) vectorises
 target sampling, the per-instant delivery fold and the Bernoulli loss
 draws; it is auto-detected and produces results identical to the stdlib
-path (a property test asserts this). Per-message sequential folding remains as
-the in-module reference and handles the rare instants the batched fold
-cannot prove safe (dedup-store pressure, mid-instant evictions, crashes
-with messages in flight).
+path (a property test asserts this). The batched fold stages a whole
+instant with a few scatters into the rows: one sort orders every
+receiver's new events, and each receiver's arrival and learn counters
+number them. Per-message sequential folding remains as the in-module
+reference and handles the instants the batched fold cannot prove safe
+(a dedup store that could trim mid-instant, evictions since the tick,
+crashes with messages in flight).
 """
 
 from __future__ import annotations
@@ -379,11 +411,11 @@ class _VectorBuffer:
         self._node = node
 
     def __len__(self) -> int:
-        return len(self._ex._buf[self._node])
+        return int(self._ex._occ[self._node])
 
     @property
     def capacity(self) -> int:
-        return self._ex._cap[self._node]
+        return int(self._ex._cap[self._node])
 
 
 class VectorNodeProtocol:
@@ -421,7 +453,7 @@ class VectorNodeProtocol:
 
     @property
     def buffer_capacity(self) -> int:
-        return self._ex._cap[self.node_id]
+        return int(self._ex._cap[self.node_id])
 
     @property
     def stats(self) -> ProtocolStats:
@@ -441,15 +473,20 @@ class _VectorNode:
 class VectorRoundExecutor:
     """Advance an entire round-synchronous lpbcast group per round.
 
-    State is columnar: one entry per node id in flat lists/arrays, one
-    row per live event. Per round the executor ages out expired events
-    globally, samples every alive node's gossip targets in one pass
-    (consuming each node's own RNG stream exactly as the per-node path
-    would), applies the network's live fault state (partition/one-way/
-    cap filters, then loss draws against the same network stream), and
-    folds the whole instant's deliveries in bulk when it reaches the
-    wire. Crash/restart mutate an alive-ordered emission list plus the
-    per-node columns (see :meth:`crash`/:meth:`restart`).
+    State is columnar. Each live event owns two integer rows indexed by
+    node id: its arrival sequence in each node's buffer (``-1``: not
+    buffered) and its learn sequence in each node's dedup store. Each
+    node owns a few counters: buffer occupancy, the next arrival and
+    learn sequences, and a trim cursor. A node knows an event iff the
+    event's learn sequence at that node is at least the node's cursor
+    (see :meth:`_trim_known`). Per round the executor ages out expired
+    events globally, samples every alive node's gossip targets in one
+    pass (consuming each node's own RNG stream exactly as the per-node
+    path would), applies the network's live fault state (partition/
+    one-way/cap filters, then loss draws against the same network
+    stream), and folds the whole instant's deliveries in bulk when it
+    reaches the wire. Crash/restart mutate an alive-ordered emission
+    list plus the per-node columns (see :meth:`crash`/:meth:`restart`).
     """
 
     def __init__(
@@ -485,7 +522,6 @@ class VectorRoundExecutor:
         # the live bucket's next fire time, mirrored so restart alignment
         # can be checked at runtime (set to now + period at each tick)
         self._next_tick = system.round_phase
-        self._cap = [system.buffer_capacity] * n_nodes
         self._round = 0
         self._next_seq = [0] * n_nodes
         # emission order == round-bucket member order == directory join
@@ -501,41 +537,43 @@ class VectorRoundExecutor:
             self._getrandbits = [
                 sim.rngs.stream("protocol", i).getrandbits for i in range(n_nodes)
             ]
-        # global event columns (index = event ordinal)
+        # global event columns (index = event ordinal); ages out by birth
+        # round, so the live events are the ordinals _lo .. len(_eids)-1
         self._eids: list[EventId] = []
         self._birth: list[int] = []
-        self._by_birth: dict[int, list[int]] = {}
+        self._lo = 0
+        # per-event rows over the live ordinals in a ring (slot = ordinal
+        # & _mask, doubled when full): _A arrival sequence (-1: not
+        # buffered), _L learn sequence
+        self._mask = 15
+        self._A = self._ring(self._mask + 1)
+        self._L = self._ring(self._mask + 1)
+        self._slots = None  # live slots in ordinal order, cached
         # per-node columns
-        self._buf: list[dict[int, int]] = [{} for _ in range(n_nodes)]
-        self._arrival = [0] * n_nodes
-        self._known: list[dict[int, None]] = [{} for _ in range(n_nodes)]
-        self._known_peak = 0
-        # numpy mirrors (live events only; rows freed on age-out)
-        if self._np is not None:
-            self._K: dict[int, Any] = {}  # event -> bool row: known by node d
-            self._H: dict[int, Any] = {}  # event -> bool row: buffered at node d
-            self._nknown: dict[int, int] = {}
-            self._unsat: dict[int, None] = {}  # live events known by < n nodes
-        else:
-            self._holders: dict[int, list[int]] = {}
+        self._cap = self._full(system.buffer_capacity)
+        z = self._full
+        self._occ = z(0)  # buffered events
+        self._arrival = z(0)  # next arrival sequence
+        self._learned = z(0)  # next learn sequence
+        self._cursor = z(0)  # oldest learn sequence still in the dedup store
         # per-node protocol counters
-        z = self._zeros
-        self._st_broadcasts = z()
-        self._st_received = z()
-        self._st_delivered = z()
-        self._st_dups = z()
-        self._st_drop_over = z()
-        self._st_drop_age = z()
-        self._st_drop_resize = z()
-        self._st_rounds = z()
-        self._st_sent = z()
+        self._st_broadcasts = z(0)
+        self._st_received = z(0)
+        self._st_delivered = z(0)
+        self._st_dups = z(0)
+        self._st_drop_over = z(0)
+        self._st_drop_age = z(0)
+        self._st_drop_resize = z(0)
+        self._st_rounds = z(0)
+        self._st_sent = z(0)
         # mutation tracking between a tick and its delivery fold: the
-        # log reconstructs tick-time buffer snapshots, the flag tells
-        # the batched fold whether any eviction (or crash) invalidated
-        # its captured holder rows, and _crash_snaps preserves what a
-        # node emitted this tick when a crash clears its columns before
-        # the fold lands
-        self._tick_log: list[tuple] = []
+        # log (node -> [(event, arrival, or None for a stage)])
+        # reconstructs tick-time buffer snapshots, the flag tells the
+        # batched fold whether any eviction (or crash) invalidated its
+        # captured holder rows, and _crash_snaps preserves what a node
+        # emitted this tick when a crash clears its columns before the
+        # fold lands
+        self._tick_log: dict[int, list[tuple]] = {}
         self._evicted_since_tick = False
         self._snap_cache: dict[int, tuple] = {}
         self._crash_snaps: dict[int, tuple] = {}
@@ -549,10 +587,51 @@ class VectorRoundExecutor:
             jitter=system.round_jitter,
         )
 
-    def _zeros(self):
+    def _full(self, value: int):
+        """A column (or event row) holding ``value`` for every node."""
         if self._np is not None:
-            return self._np.zeros(self.n, dtype=self._np.int64)
-        return [0] * self.n
+            return self._np.full(self.n, value, dtype=self._np.int64)
+        return [value] * self.n
+
+    def _ring(self, size: int):
+        if self._np is not None:
+            return self._np.full((size, self.n), -1, dtype=self._np.int64)
+        return [None] * size  # rows are made when an event takes the slot
+
+    def _live_slots(self):
+        """Ring slots of the live events, in ordinal order."""
+        slots = self._slots
+        if slots is None:
+            lo, hi, mask = self._lo, len(self._eids), self._mask
+            if self._np is not None:
+                slots = self._np.arange(lo, hi) & mask
+            else:
+                slots = [e & mask for e in range(lo, hi)]
+            self._slots = slots
+        return slots
+
+    def _column(self, rows, d: int) -> list[int]:
+        """Node ``d``'s entries of ``rows``, one per live event in ordinal order."""
+        if self._np is not None:
+            return rows[self._live_slots(), d].tolist()
+        return [rows[sl][d] for sl in self._live_slots()]
+
+    def _grow(self) -> None:
+        """Double the ring, moving every live row to its new slot."""
+        old = self._live_slots()
+        size = 2 * (self._mask + 1)
+        self._mask = size - 1
+        self._slots = None
+        new = self._live_slots()
+        for name in ("_A", "_L"):
+            rows = getattr(self, name)
+            grown = self._ring(size)
+            if self._np is not None:
+                grown[new] = rows[old]
+            else:
+                for o, sl in zip(old, new):
+                    grown[sl] = rows[o]
+            setattr(self, name, grown)
 
     # ------------------------------------------------------------------
     # the round tick
@@ -563,7 +642,7 @@ class VectorRoundExecutor:
         self._round += 1
         self._next_tick = now + self._period
         self._age_out(now)
-        self._tick_log = []
+        self._tick_log = {}
         self._evicted_since_tick = False
         self._snap_cache = {}
         self._crash_snaps = {}
@@ -576,10 +655,10 @@ class VectorRoundExecutor:
             return
         m = a - 1
         k = self._fanout if self._fanout < m else m
-        buf = self._buf
         st_rounds = self._st_rounds
         st_sent = self._st_sent
-        if self._np is not None and a == self.n:
+        np_ = self._np
+        if np_ is not None and a == self.n:
             st_rounds += 1
             if k > 0:
                 st_sent += k
@@ -590,11 +669,12 @@ class VectorRoundExecutor:
         else:
             for i in order:
                 st_rounds[i] += 1
-        sizes = [len(buf[i]) for i in order]
+        occ = self._occ
+        sizes = occ[order] if np_ is not None else [occ[i] for i in order]
         if self._sample_gauges:
             sample_gauge = self.collector.sample_gauge
-            for pi, i in enumerate(order):
-                sample_gauge("buffer_len", i, now, sizes[pi])
+            for i, size in zip(order, sizes.tolist() if np_ is not None else sizes):
+                sample_gauge("buffer_len", i, now, size)
         if k <= 0:
             # a lone survivor gossips to nobody: rounds/ages/gauges still
             # advance, nothing reaches the wire (no draws, no stats)
@@ -604,7 +684,7 @@ class VectorRoundExecutor:
         # --- emission accounting (replicates Network.multicast) -----------
         ns = self.net_stats
         ns.sent += a * k
-        ns.payload_items += sum(sizes) * k
+        ns.payload_items += int(sizes.sum() if np_ is not None else sum(sizes)) * k
         net = self._network
         if (
             type(net._loss) is NoLoss
@@ -619,15 +699,19 @@ class VectorRoundExecutor:
             rows, n_sched = self._chaos_filter(order, rows)
         if not n_sched:
             return
-        # holder rows of unsaturated live events, captured at tick time —
-        # these are the only events anyone can still receive for the
-        # first time this instant
+        # holder rows of the live events some node does not know yet,
+        # captured at tick time — the only events anyone can still
+        # receive for the first time this instant
         unsat_snap: list[tuple] = []
-        if self._np is not None:
-            flatnonzero = self._np.flatnonzero
-            H = self._H
-            for e in self._unsat:
-                em = flatnonzero(H[e])
+        if np_ is not None and len(self._eids) > self._lo:
+            slots = self._live_slots()
+            spreading = (self._L[slots] < self._cursor).any(axis=1)
+            flatnonzero = np_.flatnonzero
+            A = self._A
+            for e, sl in zip(
+                (flatnonzero(spreading) + self._lo).tolist(), slots[spreading].tolist()
+            ):
+                em = flatnonzero(A[sl] >= 0)
                 if em.size:
                     unsat_snap.append((e, em))
         sim.post(
@@ -783,34 +867,40 @@ class VectorRoundExecutor:
         )
 
     def _age_out(self, now: float) -> None:
-        expired = self._by_birth.pop(self._round - self._max_age - 1, None)
-        if not expired:
+        # every tick ages out exactly the events born max_age + 1 rounds
+        # ago, and births never decrease along ordinals: the expired
+        # events are a prefix of the live range
+        cutoff = self._round - self._max_age - 1
+        birth = self._birth
+        lo = top = self._lo
+        hi = len(birth)
+        while top < hi and birth[top] <= cutoff:
+            top += 1
+        if top == lo:
             return
-        buf = self._buf
-        drops = self._st_drop_age
-        np_ = self._np
-        total = 0
-        for e in expired:
-            if np_ is not None:
-                hs = np_.flatnonzero(self._H[e])
-                drops[hs] += 1  # holder sets are duplicate-free
-                holders = hs.tolist()
-                for d in holders:
-                    del buf[d][e]
-                del self._K[e], self._H[e], self._nknown[e]
-                self._unsat.pop(e, None)
-            else:
-                holders = [
-                    d for d in dict.fromkeys(self._holders.pop(e, ())) if e in buf[d]
-                ]
-                for d in holders:
-                    del buf[d][e]
-                    drops[d] += 1
-            total += len(holders)
+        expired = self._live_slots()[: top - lo]
+        A = self._A
+        if self._np is not None:
+            held = (A[expired] >= 0).sum(axis=0)
+            self._st_drop_age += held
+            self._occ -= held
+            total = int(held.sum())
+        else:
+            drops = self._st_drop_age
+            occ = self._occ
+            total = 0
+            for sl in expired:
+                for d, arr in enumerate(A[sl]):
+                    if arr >= 0:
+                        drops[d] += 1
+                        occ[d] -= 1
+                        total += 1
+        self._lo = top
+        self._slots = None
         # age-out accounting is population-wide and carries no per-node
         # payload (unlike overflow's drop-age signal), so one weighted
-        # series add replaces len(holders) identical on_drop calls —
-        # integer-valued float adds, exactly equal either way
+        # series add replaces the per-holder on_drop calls — integer-valued
+        # float adds, exactly equal either way
         if total:
             self.collector.drops_age_out.add(now, total)
 
@@ -827,14 +917,16 @@ class VectorRoundExecutor:
         now = self.sim.now
         self._snap_cache = {}
         # The batched fold assumes tick-time holder rows are still holders,
-        # that no dedup store can overflow this instant, and that every
-        # targeted node is still attached; otherwise the per-message
-        # reference fold replays the exact sequential semantics (it owns
-        # the delivered/no_route split for nodes that crashed in flight).
+        # that no dedup store can overflow this instant (a receiver learns
+        # each spreading event at most once), and that every targeted node
+        # is still attached; otherwise the per-message reference fold
+        # replays the exact sequential semantics (it owns the
+        # delivered/no_route split for nodes that crashed in flight).
         if (
             self._np is not None
             and not self._evicted_since_tick
-            and self._known_peak + len(unsat_snap) <= self._dedup_cap
+            and int((self._learned - self._cursor).max()) + len(unsat_snap)
+            <= self._dedup_cap
         ):
             self.net_stats.delivered += n_sched
             self._fold_batched(emitters, rows, sizes, unsat_snap, now)
@@ -864,24 +956,25 @@ class VectorRoundExecutor:
         # emission positions, not node ids: under churn the alive order is
         # no longer sorted, and arrival order (who delivers first, the
         # fold order per receiver) follows emission positions
+        emitters = np_.asarray(emitters, dtype=np_.intp)
         pos_of = np_.full(n, -1, dtype=np_.intp)
-        pos_of[np_.asarray(emitters, dtype=np_.intp)] = np_.arange(a, dtype=np_.intp)
-        K = self._K
-        H = self._H
-        buf = self._buf
-        nknown = self._nknown
-        unsat = self._unsat
+        pos_of[emitters] = np_.arange(a, dtype=np_.intp)
+        A = self._A
+        L = self._L
+        cursor = self._cursor
+        mask = self._mask
         # first receipts: for each still-spreading event, the earliest
         # emitter (in emission order) that holds it and targeted a node
         # unaware of it wins. The (position, position-at-s) ordering keys
-        # are read here, *before* any staging/eviction mutates a buffer —
-        # nothing has been evicted since tick, so buf[s][e] is still the
-        # position e held in s's emitted summary.
+        # are read before any row is written — nothing has been evicted
+        # since tick, so A[e, s] is still the position e held in s's
+        # emitted summary.
         d_parts: list = []
         s_parts: list = []
         p_parts: list = []
         deliveries: list[tuple[int, int]] = []  # (event, receiver count)
         for e, holders in unsat_snap:
+            sl = e & mask
             ep = pos_of[holders]
             el = lens[ep]
             if ragged:
@@ -897,84 +990,62 @@ class VectorRoundExecutor:
                 )
             else:
                 cand = rows[ep].ravel()
-            mask = ~K[e][cand]
-            if not mask.any():
+            fresh = L[sl, cand] < cursor[cand]
+            if not fresh.any():
                 continue
-            cd = cand[mask]
-            cs = np_.repeat(ep, el)[mask]
-            order = np_.lexsort((cs, cd))
-            cd = cd[order]
-            cs = cs[order]
-            keep = np_.ones(cd.shape[0], dtype=bool)
-            keep[1:] = cd[1:] != cd[:-1]
-            cd = cd[keep]
-            cs = cs[keep]
-            pos = np_.fromiter(
-                (buf[emitters[p]][e] for p in cs.tolist()),
-                dtype=np_.int64,
-                count=cd.shape[0],
-            )
-            K[e][cd] = True
-            H[e][cd] = True
-            nk = nknown[e] + cd.shape[0]
-            nknown[e] = nk
-            if nk >= n:
-                unsat.pop(e, None)
+            # sorted (receiver, emitter position) pairs as one int64 key
+            key = np_.sort(cand[fresh] * a + np_.repeat(ep, el)[fresh])
+            keep = np_.ones(key.shape[0], dtype=bool)
+            keep[1:] = key[1:] // a != key[:-1] // a
+            key = key[keep]
+            cd = key // a
+            cs = key - cd * a
             d_parts.append(cd)
             s_parts.append(cs)
-            p_parts.append(pos)
+            p_parts.append(A[sl, emitters[cs]])
             deliveries.append((e, cd.shape[0]))
-        collector = self.collector
-        aggregate = getattr(collector, "aggregate", False)
-        eids = self._eids
-        known = self._known
-        cap = self._cap
-        arrival = self._arrival
         new_counts = np_.zeros(n, dtype=np_.int64)
         if d_parts:
             D = np_.concatenate(d_parts)
             S = np_.concatenate(s_parts)
             P = np_.concatenate(p_parts)
-            E = np_.concatenate(
-                [np_.full(c, e, dtype=np_.int64) for e, c in deliveries]
+            E = np_.repeat(
+                np_.fromiter((e for e, _c in deliveries), dtype=np_.int64, count=len(deliveries)),
+                [c for _e, c in deliveries],
             )
             # one global sort gives every receiver its fold order:
             # emission position, then the event's position in that
             # emitter's summary — exactly the sequential per-message order
-            order = np_.lexsort((P, S, D))
+            w = int(P.max()) + 1
+            if n * a * w < 2**63:  # fits unless a node staged ~2**63 / n**2 events
+                order = np_.argsort((D * a + S) * w + P)
+            else:
+                order = np_.lexsort((P, S, D))
+            D = D[order]
+            E = E[order]
             new_counts += np_.bincount(D, minlength=n)
-            peak = self._known_peak
-            prev_d = -1
-            kd = bd = None
-            arr = 0
-            for d, e in zip(D[order].tolist(), E[order].tolist()):
-                if d != prev_d:
-                    if prev_d >= 0:
-                        arrival[prev_d] = arr
-                        if len(kd) > peak:
-                            peak = len(kd)
-                        if len(bd) > cap[prev_d]:
-                            self._evict_overflow(prev_d, now, "overflow")
-                    prev_d = d
-                    kd = known[d]
-                    bd = buf[d]
-                    arr = arrival[d]
-                kd[e] = None
-                bd[e] = arr
-                arr += 1
-                if not aggregate:
-                    collector.on_deliver(d, eids[e], now)
-            arrival[prev_d] = arr
-            if len(kd) > peak:
-                peak = len(kd)
-            if len(bd) > cap[prev_d]:
-                self._evict_overflow(prev_d, now, "overflow")
-            self._known_peak = peak
+            # a receiver's k-th new event (in fold order) takes its next
+            # arrival and learn sequences plus k
+            rank = np_.arange(D.shape[0]) - (np_.cumsum(new_counts) - new_counts)[D]
+            rows_of = E & mask
+            A[rows_of, D] = self._arrival[D] + rank
+            L[rows_of, D] = self._learned[D] + rank
+            self._arrival += new_counts
+            self._learned += new_counts
+            self._occ += new_counts
             self._st_delivered += new_counts
-            if aggregate:
+            collector = self.collector
+            eids = self._eids
+            if getattr(collector, "aggregate", False):
                 bulk = collector.on_deliver_bulk
                 for e, c in deliveries:
                     bulk(eids[e], c, now)
+            else:
+                deliver = collector.on_deliver
+                for d, e in zip(D.tolist(), E.tolist()):
+                    deliver(d, eids[e], now)
+            for d in np_.flatnonzero(self._occ > self._cap).tolist():
+                self._evict_overflow(d, now, "overflow")
         self._st_dups += items.astype(np_.int64) - new_counts
 
     def _fold_sequential(self, emitters, rows, now: float) -> None:
@@ -995,14 +1066,20 @@ class VectorRoundExecutor:
                     q.append(s)
         ns = self.net_stats
         alive = self._alive
-        known = self._known
-        buf = self._buf
+        A = self._A
+        L = self._L
+        mask = self._mask
+        lo = self._lo
+        arrival = self._arrival
+        learned = self._learned
+        cursor = self._cursor
+        occ = self._occ
+        cap = self._cap
         st_received = self._st_received
         st_delivered = self._st_delivered
         st_dups = self._st_dups
         collector = self.collector
         eids = self._eids
-        np_ = self._np
         log = self._tick_log
         dedup_cap = self._dedup_cap
         for d, senders in inbox.items():
@@ -1012,82 +1089,63 @@ class VectorRoundExecutor:
                 continue
             ns.delivered += len(senders)
             st_received[d] += len(senders)
-            kd = known[d]
-            kd_keys = kd.keys()
-            bd = buf[d]
+            known = self._column(L, d)  # learn sequences, indexed e - lo
+            floor = cursor[d]
             dups_d = 0
             for s in senders:
-                ids, idset = self._tick_snapshot(s)
-                if not ids:
+                ids = self._tick_snapshot(s)
+                fresh = [e for e in ids if known[e - lo] < floor]
+                dups_d += len(ids) - len(fresh)
+                if not fresh:
                     continue
-                if kd_keys >= idset:
-                    # steady state: every summary a duplicate — nothing
-                    # staged, no overflow possible, ages already global
-                    dups_d += len(ids)
-                    continue
-                arr = self._arrival[d]
-                for e in ids:
-                    if e in kd:
-                        dups_d += 1
-                        continue
-                    kd[e] = None
-                    st_delivered[d] += 1
+                arr = arrival[d]
+                seq = learned[d]
+                staged = log.setdefault(d, [])
+                for e in fresh:
+                    sl = e & mask
+                    known[e - lo] = seq
+                    L[sl][d] = seq
+                    seq += 1
                     collector.on_deliver(d, eids[e], now)
-                    if e in bd:
+                    if A[sl][d] >= 0:
                         raise ValueError(f"event {eids[e]!r} already buffered")
-                    bd[e] = arr
+                    A[sl][d] = arr
                     arr += 1
-                    log.append(("stage", d, e))
-                    if np_ is not None:
-                        self._K[e][d] = True
-                        self._H[e][d] = True
-                        nk = self._nknown[e] + 1
-                        self._nknown[e] = nk
-                        if nk >= self.n:
-                            self._unsat.pop(e, None)
-                    else:
-                        hl = self._holders.get(e)
-                        if hl is None:
-                            self._holders[e] = [d]
-                        else:
-                            hl.append(d)
-                self._arrival[d] = arr
-                if len(kd) > dedup_cap:
+                    staged.append((e, None))
+                arrival[d] = arr
+                learned[d] = seq
+                occ[d] += len(fresh)
+                st_delivered[d] += len(fresh)
+                if seq - floor > dedup_cap:
                     self._trim_known(d)
-                elif len(kd) > self._known_peak:
-                    self._known_peak = len(kd)
-                if len(bd) > self._cap[d]:
+                    floor = cursor[d]
+                if occ[d] > cap[d]:
                     self._evict_overflow(d, now, "overflow")
             if dups_d:
                 st_dups[d] += dups_d
 
-    def _tick_snapshot(self, s: int) -> tuple[tuple, frozenset]:
+    def _tick_snapshot(self, s: int) -> tuple:
         """What node ``s`` emitted this instant: its buffer at tick time.
 
-        Reconstructed from the live buffer by undoing the stage/evict log
-        in reverse — zero copies on the common no-mutation instants. A
-        node that crashed since the tick had its summary preserved in
+        Reconstructed from the live arrival column by undoing the node's
+        stage/evict log in reverse, then ordered by arrival. A node that
+        crashed since the tick had its summary preserved in
         ``_crash_snaps`` before its columns were cleared.
         """
         snap = self._snap_cache.get(s)
         if snap is not None:
             return snap
         snap = self._crash_snaps.get(s)
-        if snap is not None:
-            self._snap_cache[s] = snap
-            return snap
-        mutations = [entry for entry in self._tick_log if entry[1] == s]
-        if not mutations:
-            ids = tuple(self._buf[s])
-        else:
-            d = dict(self._buf[s])
-            for entry in reversed(mutations):
-                if entry[0] == "stage":
-                    d.pop(entry[2], None)
-                else:
-                    d[entry[2]] = entry[3]
-            ids = tuple(e for e, _arr in sorted(d.items(), key=lambda kv: kv[1]))
-        snap = (ids, frozenset(ids))
+        if snap is None:
+            held = {
+                e: arr for e, arr in enumerate(self._column(self._A, s), self._lo) if arr >= 0
+            }
+            for e, arr in reversed(self._tick_log.get(s, ())):
+                if arr is None:  # staged since the tick
+                    held.pop(e, None)
+                else:  # evicted since the tick
+                    held[e] = arr
+            snap = tuple(sorted(held, key=held.__getitem__))
         self._snap_cache[s] = snap
         return snap
 
@@ -1108,28 +1166,13 @@ class VectorRoundExecutor:
         self._evicted_since_tick = True
         self._alive.discard(i)
         self._order_dirty = True
-        np_ = self._np
-        bd = self._buf[i]
-        if np_ is not None:
-            H = self._H
-            for e in bd:
-                H[e][i] = False
-        # (stdlib holder lists self-filter against the cleared buffer)
-        bd.clear()
-        kd = self._known[i]
-        if np_ is not None:
-            K = self._K
-            nknown = self._nknown
-            unsat = self._unsat
-            for e in kd:
-                row = K.get(e)  # None once the event aged out
-                if row is not None and row[i]:
-                    row[i] = False
-                    nknown[e] -= 1
-                    # the event can spread again (to this identity, if
-                    # it restarts) — back onto the unsaturated set
-                    unsat[e] = None
-        kd.clear()
+        A = self._A
+        for sl in self._live_slots():
+            A[sl][i] = -1
+        self._occ[i] = 0
+        # the whole dedup store goes at once: no learn sequence issued so
+        # far reaches the cursor
+        self._cursor[i] = self._learned[i]
 
     def restart(self, node_id: int) -> None:
         """Re-admit a crashed identity as a fresh process at a round tick.
@@ -1182,41 +1225,28 @@ class VectorRoundExecutor:
         e = len(self._eids)
         eid = EventId(i, self._next_seq[i])
         self._next_seq[i] += 1
+        if e - self._lo > self._mask:
+            self._grow()
         self._eids.append(eid)
-        birth = self._round
-        self._birth.append(birth)
-        bb = self._by_birth.get(birth)
-        if bb is None:
-            self._by_birth[birth] = [e]
-        else:
-            bb.append(e)
-        kd = self._known[i]
-        kd[e] = None
-        if len(kd) > self._dedup_cap:
-            self._trim_known(i)
-        elif len(kd) > self._known_peak:
-            self._known_peak = len(kd)
+        self._birth.append(self._round)
+        self._slots = None
+        sl = e & self._mask
+        A = self._A
+        L = self._L
+        L[sl] = self._full(-1)
+        L[sl][i] = self._learned[i]
+        self._learned[i] += 1
+        self._trim_known(i)
         self._st_broadcasts[i] += 1
         self._st_delivered[i] += 1
         # parked by the collector until the sender's on_admitted lands
         self.collector.on_deliver(i, eid, now)
-        np_ = self._np
-        if np_ is not None:
-            row = np_.zeros(self.n, dtype=bool)
-            row[i] = True
-            self._K[e] = row
-            self._H[e] = row.copy()
-            self._nknown[e] = 1
-            if self.n > 1:
-                self._unsat[e] = None
-        else:
-            self._holders[e] = [i]
-        bd = self._buf[i]
-        bd[e] = self._arrival[i]
+        A[sl] = self._full(-1)
+        A[sl][i] = self._arrival[i]
         self._arrival[i] += 1
-        self._tick_log.append(("stage", i, e))
-        if len(bd) > self._cap[i]:
-            self._evict_overflow(i, now, "overflow")
+        self._occ[i] += 1
+        self._tick_log.setdefault(i, []).append((e, None))
+        self._evict_overflow(i, now, "overflow")
         return eid
 
     def _set_capacity(self, i: int, capacity: int, now: float) -> None:
@@ -1229,43 +1259,48 @@ class VectorRoundExecutor:
     # shared mutation helpers
     # ------------------------------------------------------------------
     def _evict_overflow(self, d: int, now: float, reason: str) -> None:
-        bd = self._buf[d]
-        excess = len(bd) - self._cap[d]
+        """Drop node ``d``'s oldest buffered events down to its capacity.
+
+        Oldest is smallest ``(birth round, arrival)``, the per-node
+        buffer's eviction order; the drops reach the collector in one
+        bulk call.
+        """
+        excess = int(self._occ[d] - self._cap[d])
         if excess <= 0:
             return
         self._evicted_since_tick = True
         birth = self._birth
         victims = heapq.nsmallest(
-            excess, ((birth[e], arr, e) for e, arr in bd.items())
+            excess,
+            (
+                (birth[e], arr, e)
+                for e, arr in enumerate(self._column(self._A, d), self._lo)
+                if arr >= 0
+            ),
         )
+        A = self._A
+        mask = self._mask
+        log = self._tick_log.setdefault(d, [])
+        for _b, arr, e in victims:
+            A[e & mask][d] = -1
+            log.append((e, arr))
+        self._occ[d] -= excess
         st = self._st_drop_over if reason == "overflow" else self._st_drop_resize
-        eids = self._eids
-        collector = self.collector
-        log = self._tick_log
-        np_ = self._np
+        st[d] += excess
         round_ = self._round
-        for b, arr, e in victims:
-            del bd[e]
-            log.append(("evict", d, e, arr))
-            if np_ is not None:
-                self._H[e][d] = False
-            st[d] += 1
-            collector.on_drop(d, eids[e], round_ - b, reason, now)
+        self.collector.on_drop_bulk(reason, now, [round_ - b for b, _a, _e in victims])
 
     def _trim_known(self, d: int) -> None:
-        kd = self._known[d]
-        excess = len(kd) - self._dedup_cap
-        if excess <= 0:
-            return
-        np_ = self._np
-        for e in list(itertools.islice(iter(kd), excess)):
-            del kd[e]
-            if np_ is not None:
-                row = self._K.get(e)
-                if row is not None and row[d]:
-                    row[d] = False
-                    self._nknown[e] -= 1
-                    self._unsat[e] = None
+        """Bound node ``d``'s dedup store, dropping its oldest entries.
+
+        The store holds the events ``d`` learned with sequence numbers
+        ``cursor .. learned - 1``. It only ever loses its oldest entries
+        (here) or all of them (:meth:`crash`), so moving the cursor is
+        the whole trim, and an event that aged out needs no entry at all.
+        """
+        floor = self._learned[d] - self._dedup_cap
+        if floor > self._cursor[d]:
+            self._cursor[d] = floor
 
     # ------------------------------------------------------------------
     # inspection
@@ -1287,4 +1322,4 @@ class VectorRoundExecutor:
     @property
     def live_events(self) -> int:
         """Number of events still circulating (diagnostics)."""
-        return sum(len(v) for v in self._by_birth.values())
+        return len(self._eids) - self._lo

@@ -21,3 +21,17 @@ if not _existing:
     os.environ["PYTHONPATH"] = _SRC
 elif _SRC not in _existing.split(os.pathsep):
     os.environ["PYTHONPATH"] = _SRC + os.pathsep + _existing
+
+# The nightly deep parity run (`--hypothesis-profile=deep-parity`):
+# 20x the default example budget. The columnar-lane parity properties
+# scale their per-PR example counts by the loaded profile's
+# max_examples (tests/sim/test_vector_properties.py, `_examples`).
+try:
+    from hypothesis import settings as _hypothesis_settings
+except ImportError:  # pragma: no cover - hypothesis is a test extra
+    pass
+else:
+    _hypothesis_settings.register_profile(
+        "deep-parity",
+        max_examples=20 * _hypothesis_settings.get_profile("default").max_examples,
+    )

@@ -135,3 +135,30 @@ def test_gauge_index_survives_pickle_and_merge():
     series = a.gauge("avg_age", "n2")
     assert series.mean(0.0, 1.0) == 5.0
     assert series.mean(1.0, 2.0) == 7.0
+
+
+def test_bulk_drops_record_what_per_drop_calls_record():
+    """One on_drop_bulk call per (reason, instant) leaves the collector
+    exactly as the loop of on_drop calls would: series, drop-age gauge
+    samples in order, and the drop_ages list."""
+    calls = [
+        ("overflow", 2.5, [3, 1, 4, 1]),
+        ("resize", 2.5, [5]),
+        ("overflow", 7.25, [2, 6]),
+        ("age_out", 3.0, [9, 9, 9]),
+        ("obsolete", 4.0, [1, 2]),
+        ("overflow", 8.0, []),
+    ]
+    for aggregate in (False, True):
+        loop = MetricsCollector(bucket_width=2.0, aggregate=aggregate)
+        bulk = MetricsCollector(bucket_width=2.0, aggregate=aggregate)
+        for reason, time, ages in calls:
+            for i, age in enumerate(ages):
+                loop.on_drop("n", eid(i), age, reason, time)
+            bulk.on_drop_bulk(reason, time, ages)
+        assert vars(bulk).keys() == vars(loop).keys()
+        for name, value in vars(loop).items():
+            mine = getattr(bulk, name)
+            assert type(mine) is type(value), name
+            assert getattr(mine, "__dict__", mine) == getattr(value, "__dict__", value), name
+        assert bulk.drop_ages == [3, 1, 4, 1, 5, 2, 6]

@@ -42,6 +42,17 @@ from repro.workload.cluster import SimCluster
 DEDUP = 2000
 
 
+def _examples(per_pr: int) -> int:
+    """A property's example count under the loaded hypothesis profile.
+
+    ``per_pr`` under the default profile; profiles with a larger
+    ``max_examples`` (the nightly ``deep-parity`` one, registered in
+    ``tests/conftest.py``) scale every property by the same factor.
+    """
+    scale = settings().max_examples / settings.get_profile("default").max_examples
+    return max(1, round(per_pr * scale))
+
+
 def _fingerprint(cluster: SimCluster) -> tuple:
     m = cluster.metrics
     records = tuple(
@@ -95,7 +106,7 @@ def _mega_cluster(cfg: dict, dispatch: str, vector_numpy=None) -> SimCluster:
         fanout=cfg["fanout"],
         gossip_period=1.0,
         buffer_capacity=cfg["buffer_capacity"],
-        dedup_capacity=DEDUP,
+        dedup_capacity=cfg.get("dedup_capacity", DEDUP),
         max_age=cfg["max_age"],
         round_jitter=0.0,
         round_phase=0.0,
@@ -116,7 +127,7 @@ def _mega_cluster(cfg: dict, dispatch: str, vector_numpy=None) -> SimCluster:
     return cluster
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=_examples(12), deadline=None)
 @given(cfg=mega_configs)
 def test_mega_lane_matches_batched(cfg):
     batched = _mega_cluster(cfg, "batched")
@@ -125,13 +136,76 @@ def test_mega_lane_matches_batched(cfg):
     assert _fingerprint(batched) == _fingerprint(vector)
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=_examples(8), deadline=None)
 @given(cfg=mega_configs)
 def test_mega_lane_numpy_matches_stdlib(cfg):
     auto = _mega_cluster(cfg, "vector", vector_numpy=None)
     stdlib = _mega_cluster(cfg, "vector", vector_numpy=False)
     assert auto.vector is not None and stdlib.vector is not None
     assert _fingerprint(auto) == _fingerprint(stdlib)
+
+
+# the dedup-trim regime: a store of 12 against 24 or 72 admitted events,
+# so every node trims its dedup store again and again. At 2 msg/s about
+# 8 events are live, so a trimmed entry is always one that already aged
+# out; at 6 msg/s about 24 are, so trims drop live entries, and a store
+# trimmed one entry too far or too short diverges from the per-node lane
+@pytest.mark.parametrize("rate", [2.0, 6.0])
+@pytest.mark.parametrize("seed", range(30))
+def test_mega_lane_matches_batched_under_dedup_trims(seed, rate):
+    cfg = {
+        "n_nodes": 16,
+        "fanout": 3,
+        "buffer_capacity": 4,
+        "max_age": 3,
+        "dedup_capacity": 12,
+        "delay": 0.01,
+        "rate": rate,
+        "n_senders": 1,
+        "seed": seed,
+    }
+    batched = _mega_cluster(cfg, "batched")
+    vector = _mega_cluster(cfg, "vector")
+    assert vector.vector is not None
+    assert vector.metrics.admitted.total > cfg["dedup_capacity"]
+    assert _fingerprint(batched) == _fingerprint(vector)
+    stdlib = _mega_cluster(cfg, "vector", vector_numpy=False)
+    assert _fingerprint(stdlib) == _fingerprint(vector)
+
+
+def test_lossless_run_folds_every_instant_in_bulk(monkeypatch):
+    """Parity cannot see a silent fallback to the per-message fold: on a
+    lossless, overflow-free run with ample dedup every delivery instant
+    must take the batched fold."""
+    pytest.importorskip("numpy")
+    from repro.sim.vector import VectorRoundExecutor
+
+    calls = {"_fold_instant": 0, "_fold_batched": 0, "_fold_sequential": 0}
+    for name in calls:
+        method = getattr(VectorRoundExecutor, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(VectorRoundExecutor, name, counted)
+    cfg = {
+        "n_nodes": 64,
+        "fanout": 4,
+        "buffer_capacity": 30,
+        "max_age": 6,
+        "delay": 0.01,
+        "rate": 1.0,
+        "n_senders": 2,
+        "seed": 3,
+    }
+    cluster = _mega_cluster(cfg, "vector", vector_numpy=True)
+    stats = [cluster.nodes[i].protocol.stats for i in cluster.nodes]
+    assert sum(st.drops_overflow for st in stats) == 0
+    assert cluster.metrics.deliveries.total > cfg["n_nodes"]
+    assert calls["_fold_instant"] >= 10
+    assert calls["_fold_batched"] == calls["_fold_instant"]
+    assert calls["_fold_sequential"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +289,7 @@ def _chaos_cluster(cfg: dict, dispatch: str, vector_numpy=None) -> SimCluster:
     return cluster
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=_examples(12), deadline=None)
 @given(cfg=chaos_configs)
 # the crash takes the group from 22 peers (CPython's set branch, drawn in
 # bulk from the word bank) to 21 (the pool branch): both must read the
@@ -241,7 +315,7 @@ def test_chaos_lane_matches_batched(cfg):
     assert _fingerprint(batched) == _fingerprint(vector)
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=_examples(8), deadline=None)
 @given(cfg=chaos_configs)
 def test_chaos_lane_numpy_matches_stdlib(cfg):
     auto = _chaos_cluster(cfg, "vector", vector_numpy=None)
@@ -361,7 +435,7 @@ def _assert_results_identical(a, b):
         assert va == vb or (va != va and vb != vb), field.name
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=_examples(10), deadline=None)
 @given(cfg=fallback_specs)
 def test_fallback_lane_matches_batched(cfg):
     batched = run_once(_fallback_spec(cfg, "batched"))
