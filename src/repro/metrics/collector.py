@@ -235,19 +235,16 @@ class MetricsCollector:
         self.drop_ages.append(age)
 
     def on_drop_bulk(self, reason: str, time: float, ages: list[int]) -> None:
-        """``len(ages)`` drops of one reason at one instant, in one call.
+        """``len(ages)`` overflow or resize drops at one instant, in one call.
 
         Records exactly what one :meth:`on_drop` per age, in order, would
         (the series take one integer-valued weight instead of that many
-        unit adds: the same float sums).
+        unit adds: the same float sums). Only the paper's "dropped
+        messages" (``reason`` "overflow" or "resize", which record alike)
+        carry the age signal worth batching; a bulk age-out is one
+        weighted ``drops_age_out.add``.
         """
         if not ages:
-            return
-        if reason == "age_out":
-            self.drops_age_out.add(time, len(ages))
-            return
-        if reason == "obsolete":
-            self.drops_obsolete.add(time, len(ages))
             return
         self.drops_overflow.add(time, len(ages))
         sample = self.drop_age_gauge.sample

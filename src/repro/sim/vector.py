@@ -111,7 +111,8 @@ receiver's new events, and each receiver's arrival and learn counters
 number them. Per-message sequential folding remains as the in-module
 reference and handles the instants the batched fold cannot prove safe
 (a dedup store that could trim mid-instant, evictions since the tick,
-crashes with messages in flight).
+crashes with messages in flight, an order key that would not fit in
+``int64``).
 """
 
 from __future__ import annotations
@@ -918,15 +919,18 @@ class VectorRoundExecutor:
         self._snap_cache = {}
         # The batched fold assumes tick-time holder rows are still holders,
         # that no dedup store can overflow this instant (a receiver learns
-        # each spreading event at most once), and that every targeted node
-        # is still attached; otherwise the per-message reference fold
-        # replays the exact sequential semantics (it owns the
-        # delivered/no_route split for nodes that crashed in flight).
+        # each spreading event at most once), that every targeted node
+        # is still attached, and that its int64 fold-order key (receiver,
+        # emitter position, arrival at the emitter) fits; otherwise the
+        # per-message reference fold replays the exact sequential
+        # semantics (it owns the delivered/no_route split for nodes that
+        # crashed in flight).
         if (
             self._np is not None
             and not self._evicted_since_tick
             and int((self._learned - self._cursor).max()) + len(unsat_snap)
             <= self._dedup_cap
+            and self.n * len(emitters) * int(self._arrival.max()) < 2**63
         ):
             self.net_stats.delivered += n_sched
             self._fold_batched(emitters, rows, sizes, unsat_snap, now)
@@ -1016,11 +1020,11 @@ class VectorRoundExecutor:
             # one global sort gives every receiver its fold order:
             # emission position, then the event's position in that
             # emitter's summary — exactly the sequential per-message order
+            # (every P is below its emitter's next arrival sequence, so
+            # the key stays under the n * a * max-arrival bound checked
+            # in _fold_instant)
             w = int(P.max()) + 1
-            if n * a * w < 2**63:  # fits unless a node staged ~2**63 / n**2 events
-                order = np_.argsort((D * a + S) * w + P)
-            else:
-                order = np_.lexsort((P, S, D))
+            order = np_.argsort((D * a + S) * w + P)
             D = D[order]
             E = E[order]
             new_counts += np_.bincount(D, minlength=n)

@@ -138,15 +138,13 @@ def test_gauge_index_survives_pickle_and_merge():
 
 
 def test_bulk_drops_record_what_per_drop_calls_record():
-    """One on_drop_bulk call per (reason, instant) leaves the collector
-    exactly as the loop of on_drop calls would: series, drop-age gauge
-    samples in order, and the drop_ages list."""
+    """One on_drop_bulk call per (overflow or resize reason, instant)
+    leaves the collector exactly as the loop of on_drop calls would:
+    series, drop-age gauge samples in order, and the drop_ages list."""
     calls = [
         ("overflow", 2.5, [3, 1, 4, 1]),
         ("resize", 2.5, [5]),
         ("overflow", 7.25, [2, 6]),
-        ("age_out", 3.0, [9, 9, 9]),
-        ("obsolete", 4.0, [1, 2]),
         ("overflow", 8.0, []),
     ]
     for aggregate in (False, True):

@@ -173,11 +173,21 @@ def test_mega_lane_matches_batched_under_dedup_trims(seed, rate):
     assert _fingerprint(stdlib) == _fingerprint(vector)
 
 
-def test_lossless_run_folds_every_instant_in_bulk(monkeypatch):
-    """Parity cannot see a silent fallback to the per-message fold: on a
-    lossless, overflow-free run with ample dedup every delivery instant
-    must take the batched fold."""
-    pytest.importorskip("numpy")
+# a lossless, overflow-free run with ample dedup
+BULK_CFG = {
+    "n_nodes": 64,
+    "fanout": 4,
+    "buffer_capacity": 30,
+    "max_age": 6,
+    "delay": 0.01,
+    "rate": 1.0,
+    "n_senders": 2,
+    "seed": 3,
+}
+
+
+def _count_folds(monkeypatch) -> dict:
+    """Count the executor's fold calls, by method name."""
     from repro.sim.vector import VectorRoundExecutor
 
     calls = {"_fold_instant": 0, "_fold_batched": 0, "_fold_sequential": 0}
@@ -189,23 +199,46 @@ def test_lossless_run_folds_every_instant_in_bulk(monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(VectorRoundExecutor, name, counted)
-    cfg = {
-        "n_nodes": 64,
-        "fanout": 4,
-        "buffer_capacity": 30,
-        "max_age": 6,
-        "delay": 0.01,
-        "rate": 1.0,
-        "n_senders": 2,
-        "seed": 3,
-    }
-    cluster = _mega_cluster(cfg, "vector", vector_numpy=True)
+    return calls
+
+
+def test_lossless_run_folds_every_instant_in_bulk(monkeypatch):
+    """Parity cannot see a silent fallback to the per-message fold: on a
+    lossless, overflow-free run with ample dedup every delivery instant
+    must take the batched fold."""
+    pytest.importorskip("numpy")
+    calls = _count_folds(monkeypatch)
+    cluster = _mega_cluster(BULK_CFG, "vector", vector_numpy=True)
     stats = [cluster.nodes[i].protocol.stats for i in cluster.nodes]
     assert sum(st.drops_overflow for st in stats) == 0
-    assert cluster.metrics.deliveries.total > cfg["n_nodes"]
+    assert cluster.metrics.deliveries.total > BULK_CFG["n_nodes"]
     assert calls["_fold_instant"] >= 10
     assert calls["_fold_batched"] == calls["_fold_instant"]
     assert calls["_fold_sequential"] == 0
+
+
+def test_batched_fold_yields_when_its_sort_key_could_overflow(monkeypatch):
+    """Arrival sequences only order each node's buffer, so starting every
+    node's counter at 2**60 changes no result. It does put the batched
+    fold's int64 order key (receiver, emitter position, arrival) out of
+    range, so every instant must take the per-message fold instead."""
+    pytest.importorskip("numpy")
+    from repro.sim.vector import VectorRoundExecutor
+
+    reference = _fingerprint(_mega_cluster(BULK_CFG, "batched"))
+    calls = _count_folds(monkeypatch)
+    init = VectorRoundExecutor.__init__
+
+    def shifted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._arrival += 2**60
+
+    monkeypatch.setattr(VectorRoundExecutor, "__init__", shifted)
+    cluster = _mega_cluster(BULK_CFG, "vector", vector_numpy=True)
+    assert _fingerprint(cluster) == reference
+    assert calls["_fold_instant"] >= 10
+    assert calls["_fold_sequential"] == calls["_fold_instant"]
+    assert calls["_fold_batched"] == 0
 
 
 # ----------------------------------------------------------------------
