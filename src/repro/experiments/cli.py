@@ -239,6 +239,10 @@ def _run_list_scenarios(profile, args):
     return "\n".join(lines), {"scenarios": scenarios}
 
 
+# --driver -> the live driver it runs ("both" is sim + threaded)
+_LIVE_DRIVER = {"threaded": "threaded", "process": "process", "both": "threaded"}
+
+
 def _scenario_result_rows(results):
     return [
         (
@@ -311,15 +315,17 @@ def _run_run_scenario(profile, args):
                 )
                 chunks.append("\n".join(lines))
             payload["vector_fallbacks"] = fallbacks
-    if args.driver in ("threaded", "both"):
+    live = _LIVE_DRIVER.get(args.driver)
+    if live is not None:
         reports = [
-            run_scenario(name, driver="threaded", profile=profile, horizon=args.horizon)
+            run_scenario(name, driver=live, profile=profile, horizon=args.horizon)
             for name in names
         ]
-        lines = [f"Scenario runs — threaded driver ({profile.name})"]
+        lines = [f"Scenario runs — {live} driver ({profile.name})"]
         for report in reports:
+            workers = f"{report.n_workers} workers, " if report.n_workers else ""
             lines.append(
-                f"  {report.scenario}: {report.wall_seconds:.1f}s wall, "
+                f"  {report.scenario}: {report.wall_seconds:.1f}s wall, {workers}"
                 f"offers={report.offers} admitted={report.admitted} "
                 f"delivered/node={report.delivered_min}..{report.delivered_max} "
                 f"injected={report.injected_count} skipped={report.skipped_count}"
@@ -329,27 +335,7 @@ def _run_run_scenario(profile, args):
             for item in report.skipped:
                 lines.append(f"    skipped: {item}")
         chunks.append("\n".join(lines))
-        payload["threaded"] = reports
-    if args.driver == "process":
-        reports = [
-            run_scenario(name, driver="process", profile=profile, horizon=args.horizon)
-            for name in names
-        ]
-        lines = [f"Scenario runs — process driver ({profile.name})"]
-        for report in reports:
-            lines.append(
-                f"  {report.scenario}: {report.wall_seconds:.1f}s wall, "
-                f"{report.n_workers} workers, "
-                f"offers={report.offers} admitted={report.admitted} "
-                f"delivered/node={report.delivered_min}..{report.delivered_max} "
-                f"injected={report.injected_count} skipped={report.skipped_count}"
-            )
-            for item in report.injected:
-                lines.append(f"    injected: {item}")
-            for item in report.skipped:
-                lines.append(f"    skipped: {item}")
-        chunks.append("\n".join(lines))
-        payload["process"] = reports
+        payload[live] = reports
     return "\n\n".join(chunks), payload
 
 
@@ -408,24 +394,14 @@ def _run_check_scenarios(profile, args) -> tuple[str, dict, int]:
             evaluate=not args.update_baselines,
         ):
             runs.append((check.scenario, check.checks, check.result))
-    if args.driver in ("threaded", "both"):
+    live = _LIVE_DRIVER.get(args.driver)
+    if live is not None:
         for name in names:
             # resolve once (the expectations live on the spec), then share
-            # run-scenario's threaded path
+            # run-scenario's live path
             spec = get_scenario(name, profile)
-            report = run_scenario(spec, driver="threaded", horizon=args.horizon)
-            result = ScenarioResult.from_threaded(report, profile=profile.name)
-            checks = (
-                ()
-                if args.update_baselines
-                else evaluate_expectations(spec.expectations, result)
-            )
-            runs.append((name, checks, result))
-    if args.driver == "process":
-        for name in names:
-            spec = get_scenario(name, profile)
-            report = run_scenario(spec, driver="process", horizon=args.horizon)
-            result = ScenarioResult.from_process(report, profile=profile.name)
+            report = run_scenario(spec, driver=live, horizon=args.horizon)
+            result = ScenarioResult.from_live(report, profile=profile.name)
             checks = (
                 ()
                 if args.update_baselines
@@ -688,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--dispatch",
-            choices=["batched", "timers", "vector"],
+            choices=["batched", "vector"],
             default="batched",
             help="sim round-dispatch mode (results are byte-identical)",
         )
@@ -767,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzzer.add_argument(
         "--dispatch",
-        choices=["batched", "timers", "vector"],
+        choices=["batched", "vector"],
         default="batched",
         help="sim round-dispatch mode (results are byte-identical)",
     )
@@ -797,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bisecter.add_argument(
         "--dispatch",
-        choices=["batched", "timers", "vector"],
+        choices=["batched", "vector"],
         default="batched",
         help="sim round-dispatch mode for the predicate runs",
     )

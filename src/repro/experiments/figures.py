@@ -316,7 +316,7 @@ def _dynamic_cluster(profile: Profile, protocol: str, adaptive: Optional[Adaptiv
         .set_capacity(profile.fig9_t1, small, profile.fig9_low_buffer)
         .set_capacity(profile.fig9_t2, small, profile.fig9_mid_buffer)
     )
-    script.apply(cluster)
+    cluster.apply_faults(resources=script)
     return cluster, senders
 
 

@@ -237,7 +237,6 @@ def vector_fallback_reason(spec: RunSpec) -> Optional[str]:
         system=spec.system,
         latency=build_latency(spec.latency, spec.n_nodes),
         loss=spec.loss,
-        trace=False,
         aggregate=spec.aggregate,
         rate_limit=spec.rate_limit,
         n_nodes=spec.n_nodes,
@@ -289,12 +288,7 @@ def build_cluster(spec: RunSpec) -> SimCluster:
             )
     else:
         cluster.add_senders(list(spec.sender_ids), rate_each=spec.rate_per_sender)
-    if spec.script is not None:
-        spec.script.apply(cluster)
-    if spec.faults is not None:
-        cluster.apply_faults(spec.faults, baseline_loss=spec.loss)
-    if spec.churn is not None:
-        cluster.apply_churn(spec.churn)
+    cluster.apply_faults(spec.faults, spec.churn, spec.script, spec.loss)
     return cluster
 
 

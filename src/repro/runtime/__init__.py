@@ -9,7 +9,7 @@ the simulator, driven in wall-clock time over a real hop.
   group, or of one shard, on one asyncio event loop run by a thread the
   host owns, over an in-memory dict hop or real UDP sockets. All live
   front doors below run it.
-* :mod:`repro.runtime.codec` — wire codecs (compact binary and JSON).
+* :mod:`repro.runtime.codec` — the compact binary wire codec.
 * :mod:`repro.runtime.transport` — the chaos rule set every send
   consults, and two reference endpoints (in-memory hub, UDP socket).
 * :mod:`repro.runtime.process_cluster` / :mod:`repro.runtime.worker` —
@@ -19,7 +19,7 @@ the simulator, driven in wall-clock time over a real hop.
   paper's deployment shape in miniature.
 """
 
-from repro.runtime.codec import BinaryCodec, CodecError, JsonCodec
+from repro.runtime.codec import BinaryCodec, CodecError
 from repro.runtime.cluster import ThreadedCluster
 from repro.runtime.process_cluster import (
     ProcessCluster,
@@ -40,7 +40,6 @@ from repro.runtime.transport import (
 
 __all__ = [
     "BinaryCodec",
-    "JsonCodec",
     "CodecError",
     "Transport",
     "InMemoryHub",

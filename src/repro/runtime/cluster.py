@@ -318,7 +318,6 @@ class ThreadedCluster(Driver):
         aggregate: Optional[Aggregate] = None,
         transport: str = "memory",
         seed: int = 0,
-        codec: Optional[Any] = None,
         membership: str = "full",
         view_size: Optional[int] = None,
         chaos: Optional[ChaosRules] = None,
@@ -341,7 +340,7 @@ class ThreadedCluster(Driver):
             aggregate=aggregate,
             members=members,
         )
-        self.codec = codec if codec is not None else BinaryCodec()
+        self.codec = BinaryCodec()
         self.seed = seed
         self.chaos = chaos
         self.membership_kind = membership
@@ -446,11 +445,10 @@ class ThreadedCluster(Driver):
         bandwidth fault windows — the nodes share one
         :class:`~repro.runtime.transport.ChaosRules`, pre-loaded with
         the baseline loss and the latency model (link delays scaled
-        like the schedule). Conditions present at t=0 apply to the idle
-        protocols here; the spec's feeders and every timed condition
-        are compiled onto :attr:`feeders` and :attr:`actions` and run
-        from :meth:`start` on (hosted senders only: each shard paces
-        its own).
+        like the schedule). The spec's feeders and every timed
+        condition, those at t=0 included, are compiled onto
+        :attr:`feeders` and :attr:`actions` and run from :meth:`start`
+        on (hosted senders only: each shard paces its own).
         """
         period = 0.1 if gossip_period is None else gossip_period
         scale = period / spec.system.gossip_period
@@ -484,25 +482,27 @@ class ThreadedCluster(Driver):
             # unscaled msg/s rate.
             cluster.chaos.bind_clock(lambda: cluster.clock() / scale)
         # lazy: the scenario runner imports this module
-        from repro.scenarios.runner import _Feeder, lower_timed_conditions
-        from repro.workload.dynamics import CapacityChange
+        from repro.scenarios.runner import _Feeder
+        from repro.scenarios.spec import lower_timed_conditions
 
-        # conditions present from t=0 (e.g. slow receivers) apply now,
-        # on the idle protocols — the exact complement of the timed
-        # actions, which skip t=0 capacity changes
-        for change in spec.resources.changes:
-            if change.time == 0.0 and isinstance(change, CapacityChange):
-                for node in change.nodes:
-                    if node in cluster.nodes:
-                        cluster.nodes[node].protocol.set_buffer_capacity(
-                            change.capacity, 0.0
-                        )
         cluster.feeders = [
             _Feeder(sender, scale, spec.seed)
             for sender in spec.senders
             if cluster.hosts(sender.node)
         ]
-        cluster.actions, _ = lower_timed_conditions(spec, cluster, scale, cluster.feeders)
+        try:
+            cluster.actions, _ = lower_timed_conditions(
+                cluster.chaos,
+                cluster,
+                spec.faults,
+                spec.churn,
+                spec.resources,
+                spec.baseline_loss,
+                scale,
+            )
+        except Exception:
+            cluster.stop()  # release the sockets bound so far
+            raise
         return cluster
 
     def _default_system(self) -> SystemConfig:
@@ -661,6 +661,21 @@ class ThreadedCluster(Driver):
             node = self.nodes.get(node_id)
             if node is not None and node.alive:
                 node.protocol.set_buffer_capacity(capacity, self.clock())
+
+        self._call(apply)
+
+    def set_offered_rate(self, node_id: Any, rate: float) -> None:
+        """Re-pace ``node_id``'s feeder, safely, while it runs.
+
+        The live counterpart of
+        :meth:`repro.workload.cluster.SimCluster.set_offered_rate`; a
+        node whose sender this cluster does not host is ignored.
+        """
+
+        def apply() -> None:
+            for feeder in self.feeders:
+                if feeder.node == node_id:
+                    feeder.arrivals.rate = rate
 
         self._call(apply)
 

@@ -1,19 +1,16 @@
-"""Wire codecs for gossip messages.
+"""The wire codec for gossip messages.
 
-Two interchangeable codecs serialise :class:`~repro.gossip.protocol.GossipMessage`:
+:class:`BinaryCodec` serialises :class:`~repro.gossip.protocol.GossipMessage`
+in a compact, versioned, self-describing binary format (type-tagged
+values, zigzag varints). Every live hop uses it; one gossip message
+with a 90-event buffer fits well under a UDP datagram.
 
-* :class:`BinaryCodec` — a compact, versioned, self-describing binary
-  format (type-tagged values, zigzag varints). This is what the UDP
-  transport uses; one gossip message with a 90-event buffer fits well
-  under a UDP datagram.
-* :class:`JsonCodec` — human-readable, for debugging and interop tests.
-
-Both round-trip every value type a protocol can legally put on the wire:
+It round-trips every value type a protocol can legally put on the wire:
 ints, strings, floats, bools, None, bytes, and (nested) tuples — which
 covers event ids, κ-smallest aggregate states and pub/sub addresses.
 
 Wire version 2 carries events *columnar* — all ids, then all ages, then
-all payloads — and both decoders materialise them as
+all payloads — and the decoder materialises them as
 :class:`~repro.gossip.events.EventColumns` (anchored at base round 0),
 so the live runtime and the simulator hand protocols one and the
 same message shape. Row-form event tuples are accepted on encode and
@@ -23,14 +20,13 @@ forms is semantic, so ``decode(encode(m)) == m`` holds for both.
 
 from __future__ import annotations
 
-import json
 import struct
 from typing import Any, Optional
 
 from repro.gossip.events import EventColumns, EventId
 from repro.gossip.protocol import AdaptiveHeader, GossipMessage, MembershipHeader
 
-__all__ = ["CodecError", "BinaryCodec", "JsonCodec"]
+__all__ = ["CodecError", "BinaryCodec"]
 
 _MAGIC = 0xAD
 _VERSION = 2
@@ -247,102 +243,3 @@ class BinaryCodec:
             membership=membership,
             kind=_KINDS[kind_code],
         )
-
-
-class JsonCodec:
-    """JSON encoding (tuples tagged to survive the round-trip)."""
-
-    def encode(self, message: GossipMessage) -> bytes:
-        """Serialise a message as JSON bytes."""
-        if message.kind not in _KIND_CODE:
-            raise CodecError(f"unknown message kind {message.kind!r}")
-        ids, ages, payloads = _as_columns(message.events)
-        doc = {
-            "v": _VERSION,
-            "kind": message.kind,
-            "sender": _jsonify(message.sender),
-            "events": {
-                "ids": [[_jsonify(eid.origin), eid.seq] for eid in ids],
-                "ages": list(ages),
-                "payloads": [_jsonify(p) for p in payloads],
-            },
-            "adaptive": (
-                None
-                if message.adaptive is None
-                else [message.adaptive.period, _jsonify(message.adaptive.min_buff)]
-            ),
-            "membership": (
-                None
-                if message.membership is None
-                else [
-                    [_jsonify(s) for s in message.membership.subs],
-                    [_jsonify(u) for u in message.membership.unsubs],
-                ]
-            ),
-        }
-        return json.dumps(doc, separators=(",", ":")).encode("utf-8")
-
-    def decode(self, data: bytes) -> GossipMessage:
-        """Parse JSON bytes; raises :class:`CodecError` on malformed input."""
-        try:
-            doc = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CodecError(f"bad json: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("v") != _VERSION:
-            raise CodecError("unsupported json document")
-        try:
-            columns = doc["events"]
-            ids = tuple(
-                EventId(_unjsonify(origin), seq) for origin, seq in columns["ids"]
-            )
-            anchors = tuple(-age for age in columns["ages"])
-            payloads = tuple(_unjsonify(p) for p in columns["payloads"])
-            if not len(ids) == len(anchors) == len(payloads):
-                raise ValueError("event columns have unequal lengths")
-            events = EventColumns(ids, 0, anchors, payloads)
-            adaptive = doc["adaptive"]
-            membership = doc["membership"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CodecError(f"malformed document: {exc}") from exc
-        kind = doc.get("kind", "gossip")
-        if kind not in _KIND_CODE:
-            raise CodecError(f"unknown message kind {kind!r}")
-        return GossipMessage(
-            sender=_unjsonify(doc["sender"]),
-            events=events,
-            kind=kind,
-            adaptive=(
-                None
-                if adaptive is None
-                else AdaptiveHeader(adaptive[0], _unjsonify(adaptive[1]))
-            ),
-            membership=(
-                None
-                if membership is None
-                else MembershipHeader(
-                    tuple(_unjsonify(s) for s in membership[0]),
-                    tuple(_unjsonify(u) for u in membership[1]),
-                )
-            ),
-        )
-
-
-def _jsonify(value: Any) -> Any:
-    """Tag tuples so JSON arrays round-trip back to tuples."""
-    if isinstance(value, tuple):
-        return {"t": [_jsonify(v) for v in value]}
-    if isinstance(value, bytes):
-        return {"b": value.hex()}
-    if value is None or isinstance(value, (int, float, str, bool)):
-        return value
-    raise CodecError(f"cannot encode {type(value).__name__} as json")
-
-
-def _unjsonify(value: Any) -> Any:
-    if isinstance(value, dict):
-        if "t" in value:
-            return tuple(_unjsonify(v) for v in value["t"])
-        if "b" in value:
-            return bytes.fromhex(value["b"])
-        raise CodecError("unknown json tag")
-    return value

@@ -5,9 +5,9 @@ The scenario subsystem used to be a demo: runs printed metrics and
 regression oracle. Two pieces:
 
 * :class:`ScenarioResult` — one picklable, JSON-able result type for
-  *both* drivers. It unifies the simulator's
+  every driver. It unifies the simulator's
   :class:`~repro.experiments.harness.RunResult` distillation and the
-  threaded :class:`~repro.scenarios.runner.ThreadedScenarioReport` into
+  live drivers' :class:`~repro.scenarios.runner.LiveScenarioReport` into
   a flat ``name -> MetricValue`` mapping where every metric carries its
   provenance (``"sim:delivery"``, ``"threaded:transport"``, ...), so an
   expectation or a baseline diff can always say *where* a number came
@@ -87,7 +87,7 @@ class ScenarioResult:
     """One scenario run, as a flat named-metric mapping.
 
     Every driver produces this shape (:meth:`from_sim` /
-    :meth:`from_threaded` / :meth:`from_process`), which is what
+    :meth:`from_live`), which is what
     expectations evaluate and baselines snapshot. Picklable, and JSON-able via
     :func:`repro.experiments.sweep.to_jsonable`.
     """
@@ -98,7 +98,7 @@ class ScenarioResult:
     n_nodes: int = 0
     metrics: Mapping[str, MetricValue] = field(default_factory=dict)
     skipped: tuple[str, ...] = ()  # conditions the driver could not impose
-    injected: tuple[str, ...] = ()  # conditions the driver lowered (threaded)
+    injected: tuple[str, ...] = ()  # conditions the driver lowered (live)
 
     def get(self, name: str) -> Optional[float]:
         """The metric's value, or None if this driver did not report it."""
@@ -156,16 +156,22 @@ class ScenarioResult:
         )
 
     @classmethod
-    def from_threaded(cls, report, profile: str = "") -> "ScenarioResult":
-        """Distil a :class:`~repro.scenarios.runner.ThreadedScenarioReport`.
+    def from_live(cls, report, profile: str = "") -> "ScenarioResult":
+        """Distil a :class:`~repro.scenarios.runner.LiveScenarioReport`.
 
-        Wall-clock quantities (``wall_seconds``, ``time_scale``) are
-        deliberately *not* metrics: they describe the run's clock, vary
-        machine to machine, and must never enter a baseline.
+        Both live drivers report the same metric names, so a baseline
+        diffs against one vocabulary and expectations need no per-driver
+        cases; provenance carries the driver (``"threaded:…"`` or
+        ``"process:…"``). Wall-clock quantities (``wall_seconds``,
+        ``time_scale``) and worker plumbing counters (``bind_errors``,
+        ``port_attempts``) are deliberately *not* metrics: they describe
+        the run's clock and machinery, vary machine to machine, and must
+        never enter a baseline.
         """
-        src = "threaded:transport"
+        driver = report.driver
+        src, feeder = f"{driver}:transport", f"{driver}:feeder"
         metrics = {
-            "offers": MetricValue(float(report.offers), "threaded:feeder", "count"),
+            "offers": MetricValue(float(report.offers), feeder, "count"),
             "admitted": MetricValue(float(report.admitted), src, "count"),
             "delivered_total": MetricValue(
                 float(report.delivered_total), src, "count"
@@ -174,7 +180,7 @@ class ScenarioResult:
             "delivered_max": MetricValue(float(report.delivered_max), src, "count"),
             "admit_fraction": MetricValue(
                 report.admitted / report.offers if report.offers else math.nan,
-                "threaded:feeder",
+                feeder,
                 "fraction",
             ),
             "delivery_balance": MetricValue(
@@ -188,67 +194,17 @@ class ScenarioResult:
                 report.duplicates_seen / report.delivered_total
                 if report.delivered_total
                 else math.nan,
-                "threaded:protocol",
+                f"{driver}:protocol",
             ),
         }
         return cls(
             scenario=report.scenario,
-            driver="threaded",
+            driver=driver,
             profile=profile,
             n_nodes=report.n_nodes,
             metrics=metrics,
             skipped=tuple(report.skipped),
-            injected=tuple(getattr(report, "injected", ())),
-        )
-
-    @classmethod
-    def from_process(cls, report, profile: str = "") -> "ScenarioResult":
-        """Distil a :class:`~repro.scenarios.runner.ProcessScenarioReport`.
-
-        Same metric names as :meth:`from_threaded` — the two live
-        drivers report an identical surface, so a process baseline diffs
-        against the same vocabulary and expectations need no per-driver
-        cases — with ``"process:"`` provenance. Wall-clock quantities
-        and worker plumbing counters (``bind_errors``, ``port_attempts``)
-        stay out of the metric map for the same reason wall_seconds
-        does: they describe the run's machinery, not the protocol.
-        """
-        src = "process:transport"
-        metrics = {
-            "offers": MetricValue(float(report.offers), "process:feeder", "count"),
-            "admitted": MetricValue(float(report.admitted), src, "count"),
-            "delivered_total": MetricValue(
-                float(report.delivered_total), src, "count"
-            ),
-            "delivered_min": MetricValue(float(report.delivered_min), src, "count"),
-            "delivered_max": MetricValue(float(report.delivered_max), src, "count"),
-            "admit_fraction": MetricValue(
-                report.admitted / report.offers if report.offers else math.nan,
-                "process:feeder",
-                "fraction",
-            ),
-            "delivery_balance": MetricValue(
-                report.delivered_min / report.delivered_max
-                if report.delivered_max
-                else math.nan,
-                src,
-                "fraction",
-            ),
-            "redundancy": MetricValue(
-                report.duplicates_seen / report.delivered_total
-                if report.delivered_total
-                else math.nan,
-                "process:protocol",
-            ),
-        }
-        return cls(
-            scenario=report.scenario,
-            driver="process",
-            profile=profile,
-            n_nodes=report.n_nodes,
-            metrics=metrics,
-            skipped=tuple(report.skipped),
-            injected=tuple(getattr(report, "injected", ())),
+            injected=tuple(report.injected),
         )
 
 

@@ -42,7 +42,7 @@ from repro.experiments.profiles import Profile, get_profile
 from repro.experiments.sweep import run_scenario_matrix
 from repro.runtime.cluster import ThreadedCluster
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, lower_timed_conditions
 from repro.sim.faults import (
     AsymmetricPartitionWindow,
     BandwidthCapWindow,
@@ -51,12 +51,9 @@ from repro.sim.faults import (
     LossWindow,
     PartitionWindow,
 )
-from repro.sim.network import BernoulliLoss
-from repro.workload.dynamics import CapacityChange
 
 __all__ = [
-    "ProcessScenarioReport",
-    "ThreadedScenarioReport",
+    "LiveScenarioReport",
     "smoke_profile",
     "run_scenario",
     "run_scenario_process",
@@ -103,9 +100,8 @@ def run_scenario(
     """Run one scenario end to end on the chosen driver.
 
     Returns a :class:`~repro.experiments.harness.RunResult` for
-    ``driver="sim"``, a :class:`ThreadedScenarioReport` for
-    ``driver="threaded"`` and a :class:`ProcessScenarioReport` for
-    ``driver="process"``.
+    ``driver="sim"`` and a :class:`LiveScenarioReport` for
+    ``driver="threaded"`` or ``driver="process"``.
     """
     spec = _resolve(spec_or_name, profile)
     if driver == "sim":
@@ -124,13 +120,20 @@ def run_scenario(
 
 
 # ----------------------------------------------------------------------
-# threaded path
+# live paths
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ThreadedScenarioReport:
-    """What a threaded scenario run did, injected, and could not model."""
+class LiveScenarioReport:
+    """What a live scenario run did, injected, and could not model.
+
+    One type for both live drivers: ``driver`` is ``"threaded"`` or
+    ``"process"``, and the process-only observability (``n_workers``,
+    cross-worker ``send_failures``/``decode_errors``, respawn
+    ``bind_errors``, ``port_attempts``) stays 0 on the threaded driver.
+    """
 
     scenario: str
+    driver: str  # "threaded" | "process"
     n_nodes: int
     wall_seconds: float
     time_scale: float  # wall seconds per spec second
@@ -150,6 +153,12 @@ class ThreadedScenarioReport:
     chaos_eaten: int = 0  # datagrams the chaos layer dropped/capped/blocked
     chaos_delayed: int = 0  # datagrams deferred through loop.call_later
     chaos_oneway_dropped: int = 0  # datagrams eaten by a one-way (directed) cut
+    # process driver only
+    n_workers: int = 0
+    decode_errors: int = 0  # datagrams that failed BinaryCodec.decode
+    send_failures: int = 0  # sendto/address-book failures across all workers
+    bind_errors: int = 0  # respawn-time rebinds that never got their port back
+    port_attempts: int = 0  # seeded port maps tried before all workers bound
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "skipped_count", len(self.skipped))
@@ -217,8 +226,8 @@ def live_coverage(spec: ScenarioSpec) -> tuple[tuple[str, ...], tuple[str, ...]]
         injected.append(f"{caps} bandwidth cap window(s): {chaos}")
     if crashes:
         injected.append(f"{crashes} crash window(s): {crash}")
-    # nothing is fired, so the audit needs no target to lower against
-    _, not_lowered = lower_timed_conditions(spec, None, 1.0, ())
+    # nothing is fired, so the audit needs no rules or target to lower onto
+    _, not_lowered = lower_timed_conditions(None, None, spec.faults)
     if not_lowered:
         skipped.append(
             f"{len(not_lowered)} unrecognised fault window(s): {_LIVE_LOWERING['unknown']}"
@@ -234,126 +243,12 @@ def live_coverage(spec: ScenarioSpec) -> tuple[tuple[str, ...], tuple[str, ...]]
     return tuple(injected), tuple(skipped)
 
 
-# per-driver spellings of the same split, for callers that name a driver
-threaded_coverage = process_coverage = live_coverage
-
-
-def lower_timed_conditions(spec: ScenarioSpec, target, scale: float, feeders):
-    """Lower every timed condition onto ``(wall_time, seq, thunk)`` triples.
-
-    The one lowering of the live host. ``target`` is duck-typed:
-    ``chaos`` (the host's :class:`~repro.runtime.transport.ChaosRules`,
-    present whenever the spec has a wire fault — see
-    ``ScenarioSpec.wire_conditions``), ``set_capacity(node, capacity)``
-    (ignoring nodes the target does not host), ``crash_node``,
-    ``join_node`` and ``leave_node``. :class:`ThreadedCluster` is the
-    target: hosting the whole group, or one shard of it in each worker
-    process, where it acts on its own nodes, feeders and rule-set copy
-    while every shard replays the same schedule. ``target`` is only
-    touched when a thunk fires, never here.
-
-    The complement of the t=0 work the host does pre-start (t=0
-    capacity overrides, baseline loss/latency on the chaos rules):
-    resource changes go to ``set_capacity`` and the ``feeders``, loss/
-    partition/bandwidth windows mutate the chaos rule set, crash windows
-    and churn events stop/start real nodes.
-
-    Returns ``(actions, not_lowered)``: the triples in ``(time, seq)``
-    order, and the faults of a kind this function has no lowering for —
-    what the coverage audit reports as skipped.
-    """
-    actions: list[tuple[float, int, object]] = []
-    not_lowered: list = []
-
-    def add(spec_time: float, thunk) -> None:
-        actions.append((spec_time * scale, len(actions), thunk))
-
-    for change in spec.resources.changes:
-        if change.time == 0.0 and isinstance(change, CapacityChange):
-            continue  # applied pre-start by the driver
-        if isinstance(change, CapacityChange):
-
-            def apply_capacity(c=change):
-                for node in c.nodes:
-                    target.set_capacity(node, c.capacity)
-
-            add(change.time, apply_capacity)
-        else:  # OfferedRateChange — repace the affected feeders
-
-            def repace(c=change):
-                for feeder in feeders:
-                    if feeder.node in c.nodes:
-                        feeder.arrivals.rate = c.rate
-
-            add(change.time, repace)
-
-    baseline = spec.baseline_loss
-    for fault in spec.faults.faults:
-        if isinstance(fault, LossWindow):
-            add(fault.time, lambda f=fault: target.chaos.set_loss(BernoulliLoss(f.p)))
-            add(fault.time + fault.duration, lambda: target.chaos.set_loss(baseline))
-        elif isinstance(fault, LinkLossWindow):
-            add(fault.time, lambda f=fault: target.chaos.set_link_loss(f.matrix))
-            add(fault.time + fault.duration, lambda: target.chaos.set_link_loss(None))
-        elif isinstance(fault, PartitionWindow):
-            add(
-                fault.time,
-                lambda f=fault: target.chaos.partition([list(g) for g in f.groups]),
-            )
-            add(fault.time + fault.duration, lambda: target.chaos.heal())
-        elif isinstance(fault, AsymmetricPartitionWindow):
-            add(
-                fault.time,
-                lambda f=fault: target.chaos.partition_oneway(
-                    [list(g) for g in f.groups], f.blocked
-                ),
-            )
-            add(fault.time + fault.duration, lambda: target.chaos.heal_oneway())
-        elif isinstance(fault, BandwidthCapWindow):
-            # the chaos cap clock ticks in spec seconds (bound by the
-            # driver), so the spec's msg-per-spec-second rate applies
-            # unchanged — same per-second budget granularity as the
-            # simulator's network, not just the same average
-            add(fault.time, lambda f=fault: target.chaos.set_bandwidth_cap(f.rate))
-            add(
-                fault.time + fault.duration,
-                lambda: target.chaos.set_bandwidth_cap(None),
-            )
-        elif isinstance(fault, CrashWindow):
-
-            def crash(f=fault):
-                for node in f.nodes:
-                    target.crash_node(node)
-
-            add(fault.time, crash)
-            if fault.restart_at is not None:
-
-                def restart(f=fault):
-                    for node in f.nodes:
-                        target.join_node(node)
-
-                add(fault.restart_at, restart)
-        else:
-            not_lowered.append(fault)
-
-    churn = {
-        "join": lambda node: target.join_node(node),
-        "leave": lambda node: target.leave_node(node),
-        "crash": lambda node: target.crash_node(node),
-    }
-    for event in spec.churn.sorted_events():
-        add(event.time, lambda fn=churn[event.action], n=event.node: fn(n))
-
-    actions.sort(key=lambda entry: (entry[0], entry[1]))
-    return actions, not_lowered
-
-
 def run_scenario_threaded(
     spec: ScenarioSpec,
     wall_seconds: Optional[float] = None,
     gossip_period: float = 0.1,
     transport: str = "memory",
-) -> ThreadedScenarioReport:
+) -> LiveScenarioReport:
     """Drive a scenario on :class:`~repro.runtime.cluster.ThreadedCluster`.
 
     ``wall_seconds`` bounds the run (default: the whole scenario at the
@@ -364,12 +259,6 @@ def run_scenario_threaded(
     """
     scale = gossip_period / spec.system.gossip_period
     wall = spec.duration * scale if wall_seconds is None else wall_seconds
-    # the sim path validates inside FaultScript.apply; this path opens/
-    # closes windows itself, so it must reject ambiguous overlapping
-    # same-kind windows just as loudly (specs validate at construction,
-    # but FaultScript is a mutable value that may have grown since) —
-    # and before any node exists
-    spec.faults.validate()
     cluster = ThreadedCluster.from_scenario(
         spec, gossip_period=gossip_period, transport=transport
     )
@@ -386,8 +275,9 @@ def run_scenario_threaded(
     delivered = [s.events_delivered for s in stats]
     injected, skipped = live_coverage(spec)
     chaos = cluster.chaos
-    return ThreadedScenarioReport(
+    return LiveScenarioReport(
         scenario=spec.name,
+        driver="threaded",
         n_nodes=spec.n_nodes,
         wall_seconds=wall,
         time_scale=scale,
@@ -408,50 +298,12 @@ def run_scenario_threaded(
 # ----------------------------------------------------------------------
 # process path
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ProcessScenarioReport:
-    """What a multi-process scenario run did, injected, and could not model.
-
-    Field-compatible with :class:`ThreadedScenarioReport` (every shared
-    field means the same thing) plus process-only observability:
-    ``n_workers``, cross-worker ``send_failures``/``decode_errors`` and
-    respawn ``bind_errors``.
-    """
-
-    scenario: str
-    n_nodes: int
-    n_workers: int
-    wall_seconds: float
-    time_scale: float  # wall seconds per spec second
-    offers: int
-    admitted: int
-    delivered_total: int
-    delivered_min: int
-    delivered_max: int
-    skipped: tuple[str, ...]  # conditions the live host could not lower
-    skipped_count: int = 0  # derived — see __post_init__
-    duplicates_seen: int = 0  # gossip-level duplicate summaries, all nodes
-    injected: tuple[str, ...] = ()  # conditions lowered onto the workers
-    injected_count: int = 0  # derived, like skipped_count
-    chaos_eaten: int = 0  # datagrams the chaos layer dropped/capped/blocked
-    chaos_delayed: int = 0  # datagrams deferred through loop.call_later
-    chaos_oneway_dropped: int = 0  # datagrams eaten by a one-way (directed) cut
-    decode_errors: int = 0  # datagrams that failed BinaryCodec.decode
-    send_failures: int = 0  # sendto/address-book failures across all workers
-    bind_errors: int = 0  # respawn-time rebinds that never got their port back
-    port_attempts: int = 1  # seeded port maps tried before all workers bound
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "skipped_count", len(self.skipped))
-        object.__setattr__(self, "injected_count", len(self.injected))
-
-
 def run_scenario_process(
     spec: ScenarioSpec,
     wall_seconds: Optional[float] = None,
     gossip_period: float = 0.1,
     workers: Optional[int] = None,
-) -> ProcessScenarioReport:
+) -> LiveScenarioReport:
     """Drive a scenario on :class:`~repro.runtime.process_cluster.ProcessCluster`.
 
     Same host, time scaling and condition vocabulary as
@@ -471,8 +323,9 @@ def run_scenario_process(
     result = cluster.run(wall_seconds=wall_seconds)
     injected, skipped = live_coverage(spec)
     delivered = sorted(result.delivered.values()) or [0]
-    return ProcessScenarioReport(
+    return LiveScenarioReport(
         scenario=spec.name,
+        driver="process",
         n_nodes=spec.n_nodes,
         n_workers=result.n_workers,
         wall_seconds=result.wall_seconds,

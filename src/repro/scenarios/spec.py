@@ -32,8 +32,17 @@ from typing import Any, Optional
 from repro.core.config import AdaptiveConfig
 from repro.gossip.config import SystemConfig
 from repro.membership.churn import ChurnScript
-from repro.sim.faults import CrashWindow, FaultScript
+from repro.sim.faults import (
+    WIRE_WINDOWS,
+    AsymmetricPartitionWindow,
+    CrashWindow,
+    FaultScript,
+    LinkLossWindow,
+    LossWindow,
+    PartitionWindow,
+)
 from repro.sim.network import (
+    BernoulliLoss,
     ConstantLatency,
     LatencyModel,
     LogNormalLatency,
@@ -41,7 +50,7 @@ from repro.sim.network import (
     UniformLatency,
 )
 from repro.sim.topology import ClusteredTopology
-from repro.workload.dynamics import ResourceScript
+from repro.workload.dynamics import CapacityChange, ResourceScript
 from repro.workload.senders import OnOffArrivals, PeriodicArrivals, PoissonArrivals
 
 __all__ = [
@@ -52,6 +61,7 @@ __all__ = [
     "HeavyTailLinks",
     "ScenarioSpec",
     "build_latency",
+    "lower_timed_conditions",
 ]
 
 
@@ -350,3 +360,103 @@ class ScenarioSpec:
     def expecting(self, *expectations) -> "ScenarioSpec":
         """A copy with these expectations appended, in order."""
         return self.replace(expectations=self.expectations + tuple(expectations))
+
+
+# ----------------------------------------------------------------------
+# the one lowering of timed conditions
+# ----------------------------------------------------------------------
+def lower_timed_conditions(
+    rules,
+    target,
+    faults: Optional[FaultScript] = None,
+    churn: Optional[ChurnScript] = None,
+    resources: Optional[ResourceScript] = None,
+    baseline_loss: Optional[LossModel] = None,
+    scale: float = 1.0,
+):
+    """Lower a run's timed conditions onto ``(time, seq, thunk)`` triples.
+
+    The one lowering every driver shares. ``rules`` is the wire's rule
+    set — the simulator's :class:`~repro.sim.network.Network` or the
+    live host's :class:`~repro.runtime.transport.ChaosRules`, which
+    share every mutator name — and fault windows mutate it. ``target``
+    is the driver — :class:`~repro.workload.cluster.SimCluster` or
+    :class:`~repro.runtime.cluster.ThreadedCluster` — and takes
+    ``set_capacity``, ``set_offered_rate``, ``crash_node``,
+    ``join_node`` and ``leave_node`` calls, ignoring nodes (or senders)
+    it does not host. Neither is touched here, only when a thunk fires:
+    the simulator puts the triples on its heap, the live host on its
+    event loop. ``time`` is the spec time times ``scale``.
+
+    Same-instant order: resource changes, then fault windows sorted
+    stably by start time with each window's open and close added
+    together (so a window that closes at the instant the next one opens
+    closes first), then churn events. A loss window's close restores
+    ``baseline_loss``.
+
+    Validates ``faults`` first. Returns ``(actions, not_lowered)``: the
+    triples in ``(time, seq)`` order, and the fault objects of a kind
+    this function has no lowering for.
+    """
+    actions: list[tuple[float, int, Any]] = []
+    not_lowered: list = []
+
+    def add(spec_time: float, thunk) -> None:
+        actions.append((spec_time * scale, len(actions), thunk))
+
+    def on_nodes(method: str, nodes, *args):
+        def fire() -> None:
+            call = getattr(target, method)
+            for node in nodes:
+                call(node, *args)
+
+        fire.__name__ = method  # what a live failure report names
+        return fire
+
+    for change in resources.changes if resources is not None else ():
+        if isinstance(change, CapacityChange):
+            add(change.time, on_nodes("set_capacity", change.nodes, change.capacity))
+        else:  # OfferedRateChange
+            add(change.time, on_nodes("set_offered_rate", change.nodes, change.rate))
+
+    windows = []
+    if faults is not None:
+        faults.validate()
+        for fault in faults.faults:
+            known = isinstance(fault, (CrashWindow, *WIRE_WINDOWS))
+            (windows if known else not_lowered).append(fault)
+    for fault in sorted(windows, key=lambda f: f.time):
+        if isinstance(fault, CrashWindow):
+            add(fault.time, on_nodes("crash_node", fault.nodes))
+            if fault.restart_at is not None:
+                add(fault.restart_at, on_nodes("join_node", fault.nodes))
+            continue
+        end = fault.time + fault.duration
+        if isinstance(fault, LossWindow):
+            add(fault.time, lambda f=fault: rules.set_loss(BernoulliLoss(f.p)))
+            add(end, lambda: rules.set_loss(baseline_loss))
+        elif isinstance(fault, LinkLossWindow):
+            add(fault.time, lambda f=fault: rules.set_link_loss(f.matrix))
+            add(end, lambda: rules.set_link_loss(None))
+        elif isinstance(fault, PartitionWindow):
+            add(fault.time, lambda f=fault: rules.partition([list(g) for g in f.groups]))
+            add(end, lambda: rules.heal())
+        elif isinstance(fault, AsymmetricPartitionWindow):
+            add(
+                fault.time,
+                lambda f=fault: rules.partition_oneway(
+                    [list(g) for g in f.groups], f.blocked
+                ),
+            )
+            add(end, lambda: rules.heal_oneway())
+        else:  # BandwidthCapWindow
+            # a cap is a rate per spec second on both drivers (the live
+            # rules' cap clock ticks in spec seconds), so it never scales
+            add(fault.time, lambda f=fault: rules.set_bandwidth_cap(f.rate))
+            add(end, lambda: rules.set_bandwidth_cap(None))
+
+    for event in churn.sorted_events() if churn is not None else ():
+        add(event.time, on_nodes(f"{event.action}_node", (event.node,)))
+
+    actions.sort(key=lambda entry: (entry[0], entry[1]))
+    return actions, not_lowered

@@ -7,7 +7,6 @@ simulation experiments in the reproduction:
 * :mod:`repro.sim.rng` — named, reproducible random streams.
 * :mod:`repro.sim.network` — message transport with latency/loss models.
 * :mod:`repro.sim.topology` — latency topologies (LAN, clustered, graph).
-* :mod:`repro.sim.trace` — structured trace log.
 * :mod:`repro.sim.process` — base class for simulated processes.
 
 The kernel is intentionally generic: nothing in here knows about gossip.
@@ -28,7 +27,6 @@ from repro.sim.network import (
 from repro.sim.process import SimProcess
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.sim.topology import ClusteredTopology, GraphTopology, UniformTopology
-from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
     "Simulator",
@@ -47,8 +45,6 @@ __all__ = [
     "UniformTopology",
     "ClusteredTopology",
     "GraphTopology",
-    "TraceLog",
-    "TraceRecord",
     "FaultScript",
     "LossWindow",
     "PartitionWindow",

@@ -30,7 +30,6 @@ import itertools
 from typing import Any, Callable, Optional
 
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceLog
 
 __all__ = [
     "Simulator",
@@ -81,12 +80,9 @@ class Simulator:
     ----------
     seed:
         Root seed for the :class:`RngRegistry` exposed as :attr:`rngs`.
-    trace:
-        Optional :class:`TraceLog`; a disabled log is created by default so
-        tracing calls are cheap no-ops unless explicitly enabled.
     """
 
-    def __init__(self, seed: int = 0, trace: Optional[TraceLog] = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._now: float = 0.0
         # Heap entries are (time, seq, handle_or_None, callback, args).
         # The unique seq guarantees tuple comparison never reaches the
@@ -96,7 +92,6 @@ class Simulator:
         self._dispatched = 0
         self._running = False
         self.rngs = RngRegistry(seed)
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
 
     # ------------------------------------------------------------------
     # clock

@@ -13,17 +13,15 @@ Loss and bandwidth windows mutate *global* network state, so two open
 windows of the same kind would silently fight over it (the later one
 would win while open, and its close would clobber the earlier one's
 restore). :meth:`FaultScript.validate` therefore rejects overlapping
-windows of the same kind with a clear error; :meth:`FaultScript.apply`
-validates before scheduling anything.
+windows of the same kind with a clear error;
+:func:`~repro.scenarios.spec.lower_timed_conditions`, which schedules a
+script on every driver, validates before lowering anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
-
-from repro.sim.engine import Simulator
-from repro.sim.network import BernoulliLoss, LossModel, Network, NoLoss
 
 __all__ = [
     "LossWindow",
@@ -34,6 +32,7 @@ __all__ = [
     "BandwidthCapWindow",
     "FaultScript",
     "OverlappingFaultsError",
+    "WIRE_WINDOWS",
 ]
 
 
@@ -163,9 +162,8 @@ class CrashWindow:
 
     A restarted node is a *fresh* process (empty buffers, new protocol
     state) that re-enters under its old identity — the realistic model
-    for a process restart. Crashes need a cluster driver to act on, so
-    :meth:`FaultScript.apply` must be handed one when crash windows are
-    present.
+    for a process restart. Crashes act on nodes, so they are lowered onto
+    the driver, never onto the network.
     """
 
     time: float
@@ -205,17 +203,17 @@ Fault = Union[
     BandwidthCapWindow,
 ]
 
-# Exclusivity is per knob *family*: each entry groups the window kinds
-# whose open/close mutates one global network knob, and only windows
-# within one family must not overlap among themselves (see module
-# docstring). Kinds in different families hold independent knobs — a
+# The window kinds that act on the wire (a network rule set) rather than
+# on nodes. Each one's open/close mutates its own global network knob,
+# so windows of one kind must not overlap among themselves (see module
+# docstring), while different kinds hold independent knobs — a
 # LinkLossWindow may legally overlap a PartitionWindow or a LossWindow.
-_EXCLUSIVE_FAMILIES: tuple[tuple[str, tuple[type, ...]], ...] = (
-    ("LossWindow", (LossWindow,)),
-    ("LinkLossWindow", (LinkLossWindow,)),
-    ("PartitionWindow", (PartitionWindow,)),
-    ("AsymmetricPartitionWindow", (AsymmetricPartitionWindow,)),
-    ("BandwidthCapWindow", (BandwidthCapWindow,)),
+WIRE_WINDOWS: tuple[type, ...] = (
+    LossWindow,
+    LinkLossWindow,
+    PartitionWindow,
+    AsymmetricPartitionWindow,
+    BandwidthCapWindow,
 )
 
 
@@ -286,68 +284,16 @@ class FaultScript:
         overlap freely — per-link loss during a partition is a legal,
         meaningful composition.
         """
-        for family, kinds in _EXCLUSIVE_FAMILIES:
+        for kind in WIRE_WINDOWS:
             windows = sorted(
-                (f for f in self.faults if isinstance(f, kinds)),
+                (f for f in self.faults if isinstance(f, kind)),
                 key=lambda f: (f.time, f.duration),
             )
             for earlier, later in zip(windows, windows[1:]):
                 if later.time < earlier.time + earlier.duration:
                     raise OverlappingFaultsError(
-                        f"overlapping {family}s: {earlier} is still open "
+                        f"overlapping {kind.__name__}s: {earlier} is still open "
                         f"at t={later.time} when {later} starts; overlapping "
                         "windows of one knob family do not compose — merge "
                         "them into one window or separate them in time"
                     )
-
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
-    def apply(
-        self,
-        sim: Simulator,
-        network: Network,
-        baseline_loss: Optional[LossModel] = None,
-        cluster=None,
-    ) -> None:
-        """Validate, then schedule every fault window on the simulator.
-
-        ``baseline_loss`` is restored when a loss window closes (defaults
-        to no loss). ``cluster`` — a :class:`~repro.workload.cluster.SimCluster`
-        — is required when the script contains :class:`CrashWindow`s
-        (crash/restart acts on nodes, not on the network).
-        """
-        self.validate()
-        restore = baseline_loss if baseline_loss is not None else NoLoss()
-        for fault in sorted(self.faults, key=lambda f: f.time):
-            if isinstance(fault, LossWindow):
-                sim.schedule_at(fault.time, network.set_loss, BernoulliLoss(fault.p))
-                sim.schedule_at(fault.time + fault.duration, network.set_loss, restore)
-            elif isinstance(fault, LinkLossWindow):
-                sim.schedule_at(fault.time, network.set_link_loss, fault.matrix)
-                sim.schedule_at(fault.time + fault.duration, network.set_link_loss, None)
-            elif isinstance(fault, PartitionWindow):
-                sim.schedule_at(fault.time, network.partition, [list(g) for g in fault.groups])
-                sim.schedule_at(fault.time + fault.duration, network.heal)
-            elif isinstance(fault, AsymmetricPartitionWindow):
-                sim.schedule_at(
-                    fault.time,
-                    network.partition_oneway,
-                    [list(g) for g in fault.groups],
-                    fault.blocked,
-                )
-                sim.schedule_at(fault.time + fault.duration, network.heal_oneway)
-            elif isinstance(fault, BandwidthCapWindow):
-                sim.schedule_at(fault.time, network.set_bandwidth_cap, fault.rate)
-                sim.schedule_at(fault.time + fault.duration, network.set_bandwidth_cap, None)
-            else:  # CrashWindow
-                if cluster is None:
-                    raise ValueError(
-                        "FaultScript contains crash windows; pass the cluster "
-                        "(e.g. SimCluster.apply_faults) so nodes can be crashed"
-                    )
-                for node in fault.nodes:
-                    sim.schedule_at(fault.time, cluster.crash_node, node)
-                if fault.restart_at is not None:
-                    for node in fault.nodes:
-                        sim.schedule_at(fault.restart_at, cluster.join_node, node)

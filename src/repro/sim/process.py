@@ -87,11 +87,5 @@ class SimProcess:
     def stopped(self) -> bool:
         return self._stopped
 
-    # ------------------------------------------------------------------
-    # tracing
-    # ------------------------------------------------------------------
-    def trace(self, category: str, **fields: Any) -> None:
-        self.sim.trace.record(self.sim.now, category, self.name, **fields)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

@@ -123,14 +123,7 @@ from typing import Any, Optional
 
 from repro.gossip.events import EventId
 from repro.gossip.lpbcast import ProtocolStats
-from repro.sim.faults import (
-    AsymmetricPartitionWindow,
-    BandwidthCapWindow,
-    CrashWindow,
-    LinkLossWindow,
-    LossWindow,
-    PartitionWindow,
-)
+from repro.sim.faults import WIRE_WINDOWS, CrashWindow
 from repro.sim.network import BernoulliLoss, ConstantLatency, Network, NoLoss
 from repro.sim.engine import RoundDispatcher, Simulator
 from repro.sim.rng import WordBank, sample_indices
@@ -150,14 +143,6 @@ __all__ = [
     "vector_ineligible_reason",
     "mega_schedule_reason",
 ]
-
-_WINDOW_FAULTS = (
-    LossWindow,
-    LinkLossWindow,
-    PartitionWindow,
-    AsymmetricPartitionWindow,
-    BandwidthCapWindow,
-)
 
 
 def _restart_aligned(time: float, phase: float, period: float) -> bool:
@@ -220,7 +205,7 @@ def mega_schedule_reason(
                         f"period={period}): restarted nodes would tick out "
                         "of phase with the population"
                     )
-            elif not isinstance(fault, _WINDOW_FAULTS):
+            elif not isinstance(fault, WIRE_WINDOWS):
                 return f"unsupported fault window type {type(fault).__name__}"
     if churn is not None:
         for event in churn.sorted_events():
@@ -263,7 +248,6 @@ def vector_ineligible_reason(
     system,
     latency,
     loss,
-    trace: bool,
     aggregate,
     rate_limit,
     n_nodes: int,
@@ -326,8 +310,6 @@ def vector_ineligible_reason(
             f"loss model {type(loss).__name__} is stateful or unknown; the "
             "columnar lane replays NoLoss and BernoulliLoss draws only"
         )
-    if trace:
-        return "trace logging is enabled (per-node event traces stay per-node)"
     if aggregate is not None:
         return "an aggregation strategy is configured (stays per-node)"
     if rate_limit is not None:
@@ -350,7 +332,6 @@ def vector_eligible(
     system,
     latency,
     loss,
-    trace: bool,
     aggregate,
     rate_limit,
     n_nodes: int,
@@ -370,7 +351,6 @@ def vector_eligible(
             system=system,
             latency=latency,
             loss=loss,
-            trace=trace,
             aggregate=aggregate,
             rate_limit=rate_limit,
             n_nodes=n_nodes,

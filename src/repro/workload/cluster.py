@@ -37,14 +37,12 @@ from repro.core.aggregation import Aggregate
 from repro.core.config import AdaptiveConfig
 from repro.gossip.config import SystemConfig
 from repro.gossip.protocol import GossipMessage, NodeId
-from repro.membership.churn import ChurnScript
 from repro.membership.full import FullMembershipView
 from repro.membership.views import PartialViewMembership, ViewConfig
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import RoundDispatcher, Simulator
 from repro.sim.network import LatencyModel, LossModel, Network, UniformLatency
 from repro.sim.process import SimProcess
-from repro.sim.trace import TraceLog
 from repro.sim.vector import (
     VectorRoundExecutor,
     mega_schedule_reason,
@@ -190,8 +188,6 @@ class SimCluster(Driver):
         ``"full"`` (paper's setting) or ``"partial"`` (lpbcast views).
     bucket_width:
         Metrics time-bucket width in seconds.
-    trace:
-        Enable the structured trace log (slower; for debugging/tests).
     dispatch:
         ``"batched"`` (default), ``"timers"``, or ``"vector"`` — see the
         module docstring and :mod:`repro.sim.vector`.
@@ -225,7 +221,6 @@ class SimCluster(Driver):
         membership: str = "full",
         view_config: Optional[ViewConfig] = None,
         bucket_width: float = 1.0,
-        trace: bool = False,
         sample_gauges: bool = True,
         dispatch: str = "batched",
         aggregate_metrics: bool = False,
@@ -245,7 +240,7 @@ class SimCluster(Driver):
         if dispatch not in ("batched", "timers", "vector"):
             raise ValueError(f"unknown dispatch mode {dispatch!r}")
         self.dispatch = dispatch
-        self.sim = Simulator(seed=seed, trace=TraceLog(enabled=trace))
+        self.sim = Simulator(seed=seed)
         resolved_latency = latency if latency is not None else UniformLatency(0.005, 0.05)
         self.network = Network(self.sim, latency=resolved_latency, loss=loss)
         self.rounds = (
@@ -269,7 +264,6 @@ class SimCluster(Driver):
             system=self.system,
             latency=resolved_latency,
             loss=loss,
-            trace=trace,
             aggregate=aggregate,
             rate_limit=rate_limit,
             n_nodes=n_nodes,
@@ -390,8 +384,21 @@ class SimCluster(Driver):
     # runtime control
     # ------------------------------------------------------------------
     def set_capacity(self, node_id: NodeId, capacity: int) -> None:
-        """Change a node's buffer capacity now (Figure 9's resource change)."""
-        self.nodes[node_id].protocol.set_buffer_capacity(capacity, self.sim.now)
+        """Change a node's buffer capacity now (Figure 9's resource change).
+
+        An id that is not a current member is ignored, as in
+        :meth:`crash_node`: a scheduled change may name a node that has
+        left or not joined yet.
+        """
+        node = self.nodes.get(node_id)
+        if node is not None:
+            node.protocol.set_buffer_capacity(capacity, self.sim.now)
+
+    def set_offered_rate(self, node_id: NodeId, rate: float) -> None:
+        """Re-pace ``node_id``'s sender now; a node without one is ignored."""
+        sender = self.senders.get(node_id)
+        if sender is not None:
+            sender.set_rate(rate)
 
     def at(self, time: float, fn: Callable[[], None]) -> None:
         """Schedule a scenario action at an absolute simulation time."""
@@ -480,26 +487,33 @@ class SimCluster(Driver):
         self.senders.pop(node_id, None)
         self._log_size()
 
-    def apply_churn(self, script: ChurnScript) -> None:
-        """Schedule a churn script's events on the simulator."""
-        self._check_mega_schedule(churn=script)
-        for event in script.sorted_events():
-            action = {
-                "join": self.join_node,
-                "leave": self.leave_node,
-                "crash": self.crash_node,
-            }[event.action]
-            self.sim.schedule_at(event.time, action, event.node)
+    def apply_faults(
+        self, faults=None, churn=None, resources=None, baseline_loss=None
+    ) -> None:
+        """Schedule a run's timed conditions on the simulator.
 
-    def apply_faults(self, script, baseline_loss=None) -> None:
-        """Validate and schedule a :class:`~repro.sim.faults.FaultScript`.
-
-        Passes this cluster along so crash/restart windows can act on
-        nodes; ``baseline_loss`` is what loss windows restore on close
-        (defaults to a perfect network).
+        ``faults`` (:class:`~repro.sim.faults.FaultScript`) act on the
+        network, or on nodes for crash windows; ``churn`` and
+        ``resources`` on nodes and senders; ``baseline_loss`` is what a
+        loss window restores on close (default: a perfect network).
+        :func:`~repro.scenarios.spec.lower_timed_conditions` decides what
+        fires when. Nothing is scheduled if a fault object is of a kind
+        it cannot lower (``TypeError``) or the columnar lane cannot
+        honour the schedule (``RuntimeError``).
         """
-        self._check_mega_schedule(faults=script)
-        script.apply(self.sim, self.network, baseline_loss=baseline_loss, cluster=self)
+        # Local import, as in from_scenario: the scenarios package sits
+        # above this driver.
+        from repro.scenarios.spec import lower_timed_conditions
+
+        actions, not_lowered = lower_timed_conditions(
+            self.network, self, faults, churn, resources, baseline_loss
+        )
+        if not_lowered:
+            kinds = sorted({type(fault).__name__ for fault in not_lowered})
+            raise TypeError(f"no lowering for fault object(s) of type {', '.join(kinds)}")
+        self._check_mega_schedule(faults=faults, churn=churn)
+        for time, _, fire in actions:
+            self.sim.schedule_at(time, fire)
 
     # ------------------------------------------------------------------
     # execution & analysis

@@ -5,7 +5,8 @@ then at ``t1`` shrinks the buffers of 20% of the nodes from 90 to 45
 messages, and at ``t2`` grows them back — but only to 60, still below the
 initial provisioning. A :class:`ResourceScript` captures exactly this
 kind of schedule declaratively so experiments, tests and examples replay
-it identically.
+it identically; :func:`~repro.scenarios.spec.lower_timed_conditions`
+schedules it on every driver.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from repro.gossip.protocol import NodeId
-from repro.workload.cluster import SimCluster
 
 __all__ = ["CapacityChange", "OfferedRateChange", "ResourceScript"]
 
@@ -114,32 +114,6 @@ class ResourceScript:
         self.set_offered_rate(time + duration, nodes, base_rate)
         return self
 
-    def apply(self, cluster: SimCluster) -> None:
-        """Schedule every change on the cluster's simulator."""
-        for change in sorted(self.changes, key=lambda c: c.time):
-            if isinstance(change, CapacityChange):
-                cluster.at(change.time, _capacity_action(cluster, change))
-            else:
-                cluster.at(change.time, _rate_action(cluster, change))
-
     def __len__(self) -> int:
         return len(self.changes)
 
-
-def _capacity_action(cluster: SimCluster, change: CapacityChange):
-    def action() -> None:
-        for node in change.nodes:
-            if node in cluster.nodes:
-                cluster.set_capacity(node, change.capacity)
-
-    return action
-
-
-def _rate_action(cluster: SimCluster, change: OfferedRateChange):
-    def action() -> None:
-        for node in change.nodes:
-            sender = cluster.senders.get(node)
-            if sender is not None:
-                sender.set_rate(change.rate)
-
-    return action

@@ -163,9 +163,9 @@ def test_check_scenarios_baseline_round_trip(tiny_profile, capsys, tmp_path):
     code, out = check_cli(capsys, tmp_path)
     assert code == 0
     assert "clean" in out and "exact" in out
-    # ...and byte-identical on the other dispatch mode (PR 1's guarantee
-    # carried through the baseline layer)
-    code, out = check_cli(capsys, tmp_path, "--dispatch", "timers")
+    # ...and byte-identical on the other dispatch mode (the lanes'
+    # guarantee carried through the baseline layer)
+    code, out = check_cli(capsys, tmp_path, "--dispatch", "vector")
     assert code == 0
     assert "clean" in out
 

@@ -5,14 +5,13 @@ from repro.gossip.config import SystemConfig
 from repro.workload.cluster import SimCluster
 
 
-def run(seed, protocol="adaptive", trace=True):
+def run(seed, protocol="adaptive"):
     cluster = SimCluster(
         n_nodes=12,
         system=SystemConfig(buffer_capacity=30, dedup_capacity=500),
         protocol=protocol,
         adaptive=AdaptiveConfig(age_critical=4.5),
         seed=seed,
-        trace=trace,
     )
     cluster.add_senders([0, 6], rate_each=8.0)
     cluster.run(until=40.0)

@@ -54,7 +54,7 @@ def test_views_stay_bounded_and_alive_under_churn():
         script.leave(10.0 + 5 * i, node)
     for i in range(3):
         script.join(12.0 + 5 * i, 100 + i)
-    cluster.apply_churn(script)
+    cluster.apply_faults(churn=script)
     cluster.run(until=80.0)
     for node in cluster.nodes.values():
         membership = node.protocol.membership

@@ -33,9 +33,7 @@ def test_minbuff_respects_partition_boundaries():
     # node 15 (right side) is constrained; partition before it can tell
     # the left side
     cluster.set_capacity(15, 20)
-    FaultScript().partition(0.5, 60.0, [left, right]).apply(
-        cluster.sim, cluster.network
-    )
+    cluster.apply_faults(FaultScript().partition(0.5, 60.0, [left, right]))
     cluster.run(until=50.0)
     # right side knows the constrained node...
     assert cluster.protocol_of(12).min_buff_estimate == 20
@@ -48,9 +46,7 @@ def test_heal_propagates_true_minimum():
     left = list(range(10))
     right = list(range(10, 20))
     cluster.set_capacity(15, 20)
-    FaultScript().partition(0.5, 60.0, [left, right]).apply(
-        cluster.sim, cluster.network
-    )
+    cluster.apply_faults(FaultScript().partition(0.5, 60.0, [left, right]))
     cluster.run(until=120.0)  # healed at 60.5, plus sample periods
     for node_id in (0, 2, 7):
         assert cluster.protocol_of(node_id).min_buff_estimate == 20

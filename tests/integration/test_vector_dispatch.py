@@ -205,10 +205,10 @@ def test_mega_lane_supports_faults_and_nonsender_churn():
     crashes/leaves of non-sender nodes, and round-aligned rejoins."""
     cluster = _mega_cluster()
     cluster.apply_faults(FaultScript().loss(1.0, 2.0, 0.5))
-    cluster.apply_churn(ChurnScript().crash(5.0, 3))
+    cluster.apply_faults(churn=ChurnScript().crash(5.0, 3))
     # round-aligned rejoin under the old identity (scheduled churn fires
     # before the same-instant tick, so t=6.0 re-enters round 6)
-    cluster.apply_churn(ChurnScript().crash(2.0, 4).join(6.0, 4))
+    cluster.apply_faults(churn=ChurnScript().crash(2.0, 4).join(6.0, 4))
     cluster.crash_node(6)
     cluster.leave_node(5)
     cluster.run(until=10.0)
@@ -228,9 +228,9 @@ def test_mega_lane_refuses_unsupported_schedules():
     with pytest.raises(RuntimeError, match="allow_mega"):
         cluster.join_node(99)
     with pytest.raises(RuntimeError, match="allow_mega"):
-        cluster.apply_churn(ChurnScript().crash(5.0, 0))
+        cluster.apply_faults(churn=ChurnScript().crash(5.0, 0))
     with pytest.raises(RuntimeError, match="allow_mega"):
-        cluster.apply_churn(ChurnScript().crash(2.0, 3).join(4.5, 3))
+        cluster.apply_faults(churn=ChurnScript().crash(2.0, 3).join(4.5, 3))
     with pytest.raises(RuntimeError, match="allow_mega"):
         cluster.apply_faults(FaultScript().crash(2.0, nodes=(3,), restart_at=4.5))
     cluster.crash_node(3)

@@ -1,4 +1,4 @@
-"""Tests for the wire codecs, including a round-trip property test."""
+"""Tests for the wire codec, including a round-trip property test."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from repro.gossip.buffer import EventBuffer
 from repro.gossip.events import EventColumns, EventId, EventSummary
 from repro.gossip.protocol import AdaptiveHeader, GossipMessage, MembershipHeader
-from repro.runtime.codec import BinaryCodec, CodecError, JsonCodec
+from repro.runtime.codec import BinaryCodec, CodecError
 
-CODECS = [BinaryCodec(), JsonCodec()]
+CODECS = [BinaryCodec()]
 
 
 def simple_message():
@@ -24,19 +24,19 @@ def simple_message():
     )
 
 
-@pytest.mark.parametrize("codec", CODECS, ids=["binary", "json"])
+@pytest.mark.parametrize("codec", CODECS, ids=["binary"])
 def test_roundtrip_full_message(codec):
     msg = simple_message()
     assert codec.decode(codec.encode(msg)) == msg
 
 
-@pytest.mark.parametrize("codec", CODECS, ids=["binary", "json"])
+@pytest.mark.parametrize("codec", CODECS, ids=["binary"])
 def test_roundtrip_minimal_message(codec):
     msg = GossipMessage(sender="a", events=())
     assert codec.decode(codec.encode(msg)) == msg
 
 
-@pytest.mark.parametrize("codec", CODECS, ids=["binary", "json"])
+@pytest.mark.parametrize("codec", CODECS, ids=["binary"])
 def test_roundtrip_k_smallest_aggregate_state(codec):
     msg = GossipMessage(
         sender=0,
@@ -46,7 +46,7 @@ def test_roundtrip_k_smallest_aggregate_state(codec):
     assert codec.decode(codec.encode(msg)) == msg
 
 
-@pytest.mark.parametrize("codec", CODECS, ids=["binary", "json"])
+@pytest.mark.parametrize("codec", CODECS, ids=["binary"])
 def test_roundtrip_tuple_addresses(codec):
     """Pub/sub addresses are (topic, host) tuples."""
     msg = GossipMessage(
@@ -76,7 +76,7 @@ def columnar_message(**overrides):
     return GossipMessage(**fields)
 
 
-@pytest.mark.parametrize("codec", CODECS, ids=["binary", "json"])
+@pytest.mark.parametrize("codec", CODECS, ids=["binary"])
 def test_columnar_roundtrip_preserves_semantics(codec):
     msg = columnar_message()
     decoded = codec.decode(codec.encode(msg))
@@ -85,7 +85,7 @@ def test_columnar_roundtrip_preserves_semantics(codec):
     assert decoded.events.ages == msg.events.ages
 
 
-@pytest.mark.parametrize("codec", CODECS, ids=["binary", "json"])
+@pytest.mark.parametrize("codec", CODECS, ids=["binary"])
 def test_columnar_roundtrip_empty_events(codec):
     msg = columnar_message(
         events=EventColumns((), 12, (), ()), adaptive=None, membership=None
@@ -96,7 +96,7 @@ def test_columnar_roundtrip_empty_events(codec):
     assert decoded == msg
 
 
-@pytest.mark.parametrize("codec", CODECS, ids=["binary", "json"])
+@pytest.mark.parametrize("codec", CODECS, ids=["binary"])
 def test_columnar_roundtrip_digest_without_payloads(codec):
     msg = columnar_message(events=columnar_message().events.without_payloads(),
                            kind="digest")
@@ -106,7 +106,7 @@ def test_columnar_roundtrip_digest_without_payloads(codec):
     assert decoded == msg
 
 
-@pytest.mark.parametrize("codec", CODECS, ids=["binary", "json"])
+@pytest.mark.parametrize("codec", CODECS, ids=["binary"])
 def test_row_form_decodes_to_columnar(codec):
     """Row-form events encode to the same wire shape and come back columnar."""
     msg = simple_message()
@@ -116,7 +116,7 @@ def test_row_form_decodes_to_columnar(codec):
     assert tuple(decoded.events) == msg.events  # iterates as summaries
 
 
-@pytest.mark.parametrize("codec", CODECS, ids=["binary", "json"])
+@pytest.mark.parametrize("codec", CODECS, ids=["binary"])
 def test_buffer_snapshot_roundtrips_through_wire(codec):
     """Simulator and threaded runtime share one message shape end to end."""
     buf = EventBuffer(16)
@@ -130,13 +130,6 @@ def test_buffer_snapshot_roundtrips_through_wire(codec):
     assert decoded.events.ages == columns.ages
     assert decoded.events.ids == columns.ids
     assert decoded == msg
-
-
-def test_json_rejects_malformed_columns():
-    with pytest.raises(CodecError):
-        JsonCodec().decode(b'{"v":2,"kind":"gossip","sender":1,'
-                           b'"events":{"ids":[[1,0]],"ages":[],"payloads":[]},'
-                           b'"adaptive":null,"membership":null}')
 
 
 def test_binary_rejects_bad_magic():
@@ -164,15 +157,6 @@ def test_binary_rejects_trailing_garbage():
         BinaryCodec().decode(data + b"\x00")
 
 
-def test_json_rejects_garbage():
-    with pytest.raises(CodecError):
-        JsonCodec().decode(b"\xff\xfe")
-    with pytest.raises(CodecError):
-        JsonCodec().decode(b"{}")
-    with pytest.raises(CodecError):
-        JsonCodec().decode(b'{"v":1,"events":"nope"}')
-
-
 def test_unencodable_value_rejected():
     msg = GossipMessage(sender=object(), events=())
     for codec in CODECS:
@@ -180,14 +164,14 @@ def test_unencodable_value_rejected():
             codec.encode(msg)
 
 
-@pytest.mark.parametrize("codec", CODECS, ids=["binary", "json"])
+@pytest.mark.parametrize("codec", CODECS, ids=["binary"])
 def test_kind_carried_on_wire(codec):
     for kind in ("gossip", "multicast", "digest", "request", "reply"):
         msg = GossipMessage(sender=1, events=(), kind=kind)
         assert codec.decode(codec.encode(msg)).kind == kind
 
 
-@pytest.mark.parametrize("codec", CODECS, ids=["binary", "json"])
+@pytest.mark.parametrize("codec", CODECS, ids=["binary"])
 def test_unknown_kind_rejected(codec):
     msg = GossipMessage(sender=1, events=(), kind="smoke-signals")
     with pytest.raises(CodecError):
@@ -269,9 +253,3 @@ def test_binary_roundtrip_property(msg):
     codec = BinaryCodec()
     assert codec.decode(codec.encode(msg)) == msg
 
-
-@settings(max_examples=200, deadline=None)
-@given(msg=messages)
-def test_json_roundtrip_property(msg):
-    codec = JsonCodec()
-    assert codec.decode(codec.encode(msg)) == msg

@@ -202,9 +202,13 @@ def test_from_scenario_builds_threaded_cluster():
     cluster = ThreadedCluster.from_scenario(spec, gossip_period=0.05)
     try:
         # the protocol profile carried over, rounds rescaled, and the
-        # t=0 capacity override landed before any thread started
+        # t=0 capacity override is the first scheduled action (the loop
+        # fires it as it starts, before any feeder offers)
         assert cluster.system.gossip_period == 0.05
         assert cluster.system.buffer_capacity == 40
+        due, _, fire = cluster.actions[0]
+        assert due == 0.0
+        fire()
         assert cluster.protocol_of(3).buffer_capacity == 9
         assert cluster.group_size == 4
     finally:

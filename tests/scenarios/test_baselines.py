@@ -21,7 +21,7 @@ from repro.scenarios.expectations import (
 )
 
 
-# kinds for the fabricated metrics (mirrors what from_sim/from_threaded
+# kinds for the fabricated metrics (mirrors what from_sim/from_live
 # declare for the real ones); anything else defaults to "ratio"
 KINDS = {
     "offers": "count",

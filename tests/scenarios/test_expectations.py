@@ -130,10 +130,11 @@ def test_from_sim_carries_provenance():
 
 
 def test_from_threaded_carries_skips_and_redundancy():
-    from repro.scenarios.runner import ThreadedScenarioReport
+    from repro.scenarios.runner import LiveScenarioReport
 
-    report = ThreadedScenarioReport(
+    report = LiveScenarioReport(
         scenario="fab",
+        driver="threaded",
         n_nodes=8,
         wall_seconds=1.0,
         time_scale=0.1,
@@ -146,8 +147,9 @@ def test_from_threaded_carries_skips_and_redundancy():
         skipped_count=1,
         duplicates_seen=1400,
     )
-    res = ScenarioResult.from_threaded(report, profile="test")
+    res = ScenarioResult.from_live(report, profile="test")
     assert res.driver == "threaded"
+    assert res.source("admitted") == "threaded:transport"
     assert res.get("redundancy") == pytest.approx(2.0)
     assert res.get("admit_fraction") == pytest.approx(0.9)
     assert res.skipped == report.skipped

@@ -5,7 +5,7 @@ import pytest
 from repro.gossip.config import SystemConfig
 from repro.scenarios.conditions import BufferSqueeze, CorrelatedLoss
 from repro.scenarios.runner import (
-    ThreadedScenarioReport,
+    LiveScenarioReport,
     run_scenario,
     run_scenario_threaded,
     smoke_profile,
@@ -59,7 +59,8 @@ def test_sim_cluster_from_scenario_applies_schedules():
 def test_threaded_run_delivers_and_reports():
     spec = tiny_spec()
     report = run_scenario_threaded(spec, wall_seconds=1.2)
-    assert isinstance(report, ThreadedScenarioReport)
+    assert isinstance(report, LiveScenarioReport)
+    assert report.driver == "threaded" and report.port_attempts == 0
     assert report.scenario == "tiny"
     assert report.offers > 0
     assert report.admitted > 0
@@ -82,8 +83,8 @@ def test_threaded_run_injects_former_sim_only_conditions():
 
 
 def test_threaded_path_rejects_overlapping_windows_like_sim():
-    # specs validate at construction, but FaultScript is mutable: the
-    # threaded lowering must re-validate just as FaultScript.apply does
+    # specs validate at construction, but FaultScript is mutable: the one
+    # lowering re-validates on every driver
     from repro.sim.faults import OverlappingFaultsError
 
     spec = tiny_spec().stressed(CorrelatedLoss(time=5.0, duration=10.0, p=0.5))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.scenarios.spec import lower_timed_conditions
 from repro.sim.engine import Simulator
 from repro.sim.faults import (
     AsymmetricPartitionWindow,
@@ -14,6 +15,13 @@ from repro.sim.faults import (
     PartitionWindow,
 )
 from repro.sim.network import ConstantLatency, Network
+
+
+def schedule(sim, net, script, baseline_loss=None):
+    """Put a script's lowered windows on a bare simulator's heap."""
+    actions, _ = lower_timed_conditions(net, None, script, baseline_loss=baseline_loss)
+    for time, _, fire in actions:
+        sim.schedule_at(time, fire)
 
 
 def test_fault_validation():
@@ -50,9 +58,9 @@ def test_overlapping_loss_windows_rejected():
         script.validate()
     sim = Simulator(seed=1)
     net = Network(sim, latency=ConstantLatency(0.001))
-    # apply() refuses the ambiguous schedule instead of compounding
+    # the lowering refuses the ambiguous schedule instead of compounding
     with pytest.raises(OverlappingFaultsError):
-        script.apply(sim, net)
+        schedule(sim, net, script)
 
 
 def test_overlapping_partitions_and_caps_rejected():
@@ -138,7 +146,7 @@ def wire(sim):
 def test_loss_window_opens_and_closes():
     sim = Simulator(seed=1)
     net, inbox = wire(sim)
-    FaultScript().loss(1.0, 2.0, 1.0).apply(sim, net)
+    schedule(sim, net, FaultScript().loss(1.0, 2.0, 1.0))
 
     def send():
         net.send("a", "b", "x")
@@ -154,7 +162,7 @@ def test_loss_window_opens_and_closes():
 def test_partition_window_heals():
     sim = Simulator(seed=1)
     net, inbox = wire(sim)
-    FaultScript().partition(1.0, 2.0, [["a"], ["b"]]).apply(sim, net)
+    schedule(sim, net, FaultScript().partition(1.0, 2.0, [["a"], ["b"]]))
 
     def send():
         net.send("a", "b", "x")
@@ -172,7 +180,7 @@ def test_baseline_loss_restored():
     sim = Simulator(seed=1)
     net, inbox = wire(sim)
     baseline = BernoulliLoss(p=0.0)  # distinguishable sentinel
-    FaultScript().loss(1.0, 1.0, 1.0).apply(sim, net, baseline_loss=baseline)
+    schedule(sim, net, FaultScript().loss(1.0, 1.0, 1.0), baseline_loss=baseline)
     sim.run(until=3.0)
     assert net._loss is baseline
 
@@ -180,7 +188,7 @@ def test_baseline_loss_restored():
 def test_bandwidth_cap_window_caps_and_releases():
     sim = Simulator(seed=1)
     net, inbox = wire(sim)
-    FaultScript().bandwidth_cap(1.0, 2.0, 2.0).apply(sim, net)
+    schedule(sim, net, FaultScript().bandwidth_cap(1.0, 2.0, 2.0))
 
     def send():
         net.send("a", "b", "x")
@@ -199,8 +207,8 @@ def test_oneway_window_blocks_one_direction_then_heals():
     a_in, b_in = [], []
     net.attach("a", lambda m, s, t: a_in.append(t))
     net.attach("b", lambda m, s, t: b_in.append(t))
-    FaultScript().oneway_partition(1.0, 2.0, [["a"], ["b"]], blocked=((0, 1),)).apply(
-        sim, net
+    schedule(
+        sim, net, FaultScript().oneway_partition(1.0, 2.0, [["a"], ["b"]], blocked=((0, 1),))
     )
 
     def both_ways():
@@ -222,7 +230,7 @@ def test_link_loss_window_is_per_pair_and_heals():
     net.attach("a", lambda m, s, t: None)
     net.attach("b", lambda m, s, t: b_in.append(t))
     net.attach("c", lambda m, s, t: c_in.append(t))
-    FaultScript().link_loss(1.0, 2.0, {("a", "b"): 1.0}).apply(sim, net)
+    schedule(sim, net, FaultScript().link_loss(1.0, 2.0, {("a", "b"): 1.0}))
 
     def fan():
         net.send("a", "b", "x")
@@ -237,10 +245,24 @@ def test_link_loss_window_is_per_pair_and_heals():
 
 
 def test_crash_window_requires_cluster():
-    sim = Simulator(seed=1)
-    net, _ = wire(sim)
-    with pytest.raises(ValueError, match="crash"):
-        FaultScript().crash(1.0, [3]).apply(sim, net)
+    # a crash acts on nodes: it is lowered onto the cluster target and
+    # never touches the network's rules
+    calls = []
+
+    class Cluster:
+        def crash_node(self, node):
+            calls.append(("crash", node))
+
+        def join_node(self, node):
+            calls.append(("join", node))
+
+    actions, _ = lower_timed_conditions(
+        None, Cluster(), FaultScript().crash(1.0, [3, 4], restart_at=2.0)
+    )
+    assert [time for time, _, _ in actions] == [1.0, 2.0]
+    for _, _, fire in actions:
+        fire()
+    assert calls == [("crash", 3), ("crash", 4), ("join", 3), ("join", 4)]
 
 
 def test_crash_window_crashes_and_restarts_nodes():
@@ -278,7 +300,7 @@ def test_gossip_survives_partition_window():
     left = list(range(8))
     right = list(range(8, 16))
     script = FaultScript().partition(5.0, 10.0, [left, right])
-    script.apply(cluster.sim, cluster.network)
+    cluster.apply_faults(script)
     cluster.add_sender(0, rate=2.0, stop=14.0)
     cluster.run(until=40.0)
     stats = analyze_delivery(cluster.metrics.messages_in_window(0, 15), 16)

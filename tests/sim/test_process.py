@@ -88,11 +88,3 @@ def test_rng_is_deterministic_per_name():
     c = SimProcess(Simulator(seed=5), "q")
     assert a.rng.random() != c.rng.random()
 
-
-def test_trace_helper():
-    sim = Simulator(seed=1)
-    sim.trace.enabled = True
-    proc = SimProcess(sim, "p")
-    proc.trace("custom", value=3)
-    assert sim.trace.records[0].category == "custom"
-    assert sim.trace.records[0].node == "p"

@@ -104,7 +104,7 @@ def test_join_node_mid_run():
 def test_churn_script_applied():
     cluster = SimCluster(n_nodes=6, system=small_system(), seed=1)
     script = ChurnScript().leave(2.0, 4).join(4.0, 77).crash(6.0, 3)
-    cluster.apply_churn(script)
+    cluster.apply_faults(churn=script)
     cluster.run(until=10.0)
     assert 4 not in cluster.nodes
     assert 3 not in cluster.nodes

@@ -32,7 +32,7 @@ def test_builder():
 def test_capacity_change_applies_at_time():
     system = SystemConfig(buffer_capacity=90, dedup_capacity=500)
     cluster = SimCluster(n_nodes=4, system=system)
-    ResourceScript().set_capacity(5.0, [1, 2], 45).apply(cluster)
+    cluster.apply_faults(resources=ResourceScript().set_capacity(5.0, [1, 2], 45))
     cluster.run(until=4.0)
     assert cluster.protocol_of(1).buffer_capacity == 90
     cluster.run(until=6.0)
@@ -45,7 +45,7 @@ def test_rate_change_applies_to_senders():
     system = SystemConfig(buffer_capacity=90, dedup_capacity=500)
     cluster = SimCluster(n_nodes=4, system=system)
     cluster.add_sender(0, rate=1.0)
-    ResourceScript().set_offered_rate(5.0, [0], 30.0).apply(cluster)
+    cluster.apply_faults(resources=ResourceScript().set_offered_rate(5.0, [0], 30.0))
     cluster.run(until=10.0)
     before = cluster.metrics.offered.count(0, 5)
     after = cluster.metrics.offered.count(5, 10)
@@ -60,5 +60,5 @@ def test_missing_nodes_ignored():
         .set_capacity(1.0, [99], 45)
         .set_offered_rate(1.0, [98], 3.0)
     )
-    script.apply(cluster)
+    cluster.apply_faults(resources=script)
     cluster.run(until=2.0)  # must not raise
