@@ -8,6 +8,11 @@ with a 90-event buffer fits well under a UDP datagram.
 It round-trips every value type a protocol can legally put on the wire:
 ints, strings, floats, bools, None, bytes, and (nested) tuples — which
 covers event ids, κ-smallest aggregate states and pub/sub addresses.
+Ints must fit a 77-bit varint (``-2**76 <= n < 2**76`` for signed
+values) and tuples may nest 32 deep; ``encode`` refuses anything else
+with :class:`CodecError`, so ``decode(encode(m)) == m`` for every
+message it accepts, and ``decode`` raises nothing but
+:class:`CodecError` on malformed input.
 
 Wire version 2 carries events *columnar* — all ids, then all ages, then
 all payloads — and the decoder materialises them as
@@ -21,6 +26,8 @@ forms is semantic, so ``decode(encode(m)) == m`` holds for both.
 from __future__ import annotations
 
 import struct
+from functools import partial
+from operator import is_
 from typing import Any, Optional
 
 from repro.gossip.events import EventColumns, EventId
@@ -45,6 +52,17 @@ _T_BYTES = 5
 _T_TRUE = 6
 _T_FALSE = 7
 
+# A varint is at most 11 bytes of 7 bits; the encoder refuses any int
+# whose varint would be longer, so every message it accepts decodes.
+_VARINT_BITS = 77
+_VARINT_LIMIT = 1 << _VARINT_BITS
+# Tuple nesting bound, far above what protocols send (k-smallest
+# aggregate states nest two deep); it keeps decoding off the recursion limit.
+_MAX_DEPTH = 32
+
+_new_tuple = tuple.__new__
+_is_none = partial(is_, None)
+
 
 class CodecError(ValueError):
     """Raised for malformed wire data or unencodable values."""
@@ -54,16 +72,22 @@ class CodecError(ValueError):
 # varints
 # ----------------------------------------------------------------------
 def _zigzag(n: int) -> int:
-    return (n << 1) ^ (n >> 63) if n < 0 else n << 1
+    return ((-n) << 1) - 1 if n < 0 else n << 1
 
 
 def _unzigzag(n: int) -> int:
     return (n >> 1) ^ -(n & 1)
 
 
+# the ints whose zigzag varint is one byte, by that byte
+_SMALL_INTS = tuple(_unzigzag(z) for z in range(0x80))
+
+
 def _write_uvarint(out: bytearray, n: int) -> None:
     if n < 0:
         raise CodecError("uvarint cannot encode negatives")
+    if n >= _VARINT_LIMIT:
+        raise CodecError(f"int too large for the wire ({_VARINT_BITS}-bit varints)")
     while True:
         byte = n & 0x7F
         n >>= 7
@@ -74,40 +98,25 @@ def _write_uvarint(out: bytearray, n: int) -> None:
             return
 
 
-class _Reader:
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CodecError("truncated message")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def byte(self) -> int:
-        return self.take(1)[0]
-
-    def uvarint(self) -> int:
-        shift = 0
-        result = 0
-        while True:
-            b = self.byte()
-            result |= (b & 0x7F) << shift
-            if not b & 0x80:
-                return result
-            shift += 7
-            if shift > 70:
-                raise CodecError("varint too long")
+def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
+    """The varint at ``pos`` and the position after it."""
+    result = 0
+    shift = 0
+    while True:
+        b = data[pos]
+        pos += 1
+        if b < 0x80:
+            return result | b << shift, pos
+        result |= (b & 0x7F) << shift
+        shift += 7
+        if shift >= _VARINT_BITS:
+            raise CodecError("varint too long")
 
 
 # ----------------------------------------------------------------------
 # tagged values
 # ----------------------------------------------------------------------
-def _write_value(out: bytearray, value: Any) -> None:
+def _write_value(out: bytearray, value: Any, depth: int = 0) -> None:
     if value is None:
         out.append(_T_NONE)
     elif value is True:
@@ -130,32 +139,56 @@ def _write_value(out: bytearray, value: Any) -> None:
         _write_uvarint(out, len(value))
         out.extend(value)
     elif isinstance(value, tuple):
+        if depth >= _MAX_DEPTH:
+            raise CodecError(f"tuples nested deeper than {_MAX_DEPTH}")
         out.append(_T_TUPLE)
         _write_uvarint(out, len(value))
         for item in value:
-            _write_value(out, item)
+            _write_value(out, item, depth + 1)
     else:
         raise CodecError(f"cannot encode {type(value).__name__} on the wire")
 
 
-def _read_value(r: _Reader) -> Any:
-    tag = r.byte()
-    if tag == _T_NONE:
-        return None
-    if tag == _T_TRUE:
-        return True
-    if tag == _T_FALSE:
-        return False
+def _take(data: bytes, pos: int, n: int) -> bytes:
+    end = pos + n
+    if end > len(data):
+        raise CodecError("truncated message")
+    return data[pos:end]
+
+
+def _read_value(data: bytes, pos: int, depth: int = 0) -> tuple[Any, int]:
+    """The tagged value at ``pos`` and the position after it."""
+    tag = data[pos]
+    pos += 1
     if tag == _T_INT:
-        return _unzigzag(r.uvarint())
+        z, pos = _read_uvarint(data, pos)
+        return _unzigzag(z), pos
+    if tag == _T_NONE:
+        return None, pos
+    if tag == _T_TRUE:
+        return True, pos
+    if tag == _T_FALSE:
+        return False, pos
     if tag == _T_STR:
-        return r.take(r.uvarint()).decode("utf-8")
+        n, pos = _read_uvarint(data, pos)
+        try:
+            return _take(data, pos, n).decode("utf-8"), pos + n
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"string is not UTF-8: {exc.reason}") from None
     if tag == _T_FLOAT:
-        return struct.unpack(">d", r.take(8))[0]
+        return struct.unpack(">d", _take(data, pos, 8))[0], pos + 8
     if tag == _T_BYTES:
-        return bytes(r.take(r.uvarint()))
+        n, pos = _read_uvarint(data, pos)
+        return bytes(_take(data, pos, n)), pos + n
     if tag == _T_TUPLE:
-        return tuple(_read_value(r) for _ in range(r.uvarint()))
+        if depth >= _MAX_DEPTH:
+            raise CodecError(f"tuples nested deeper than {_MAX_DEPTH}")
+        n, pos = _read_uvarint(data, pos)
+        items = []
+        for _ in range(n):
+            item, pos = _read_value(data, pos, depth + 1)
+            items.append(item)
+        return tuple(items), pos
     raise CodecError(f"unknown value tag {tag}")
 
 
@@ -172,8 +205,82 @@ def _as_columns(events) -> tuple[tuple, tuple, tuple]:
     return ids, ages, payloads
 
 
+def _decode(data: bytes) -> GossipMessage:
+    """Parse one datagram; reading past its end raises ``IndexError``."""
+    if data[0] != _MAGIC:
+        raise CodecError("bad magic")
+    if data[1] != _VERSION:
+        raise CodecError(f"unsupported version {data[1]}")
+    kind_code = data[2]
+    if kind_code >= len(_KINDS):
+        raise CodecError(f"unknown message kind code {kind_code}")
+    sender, pos = _read_value(data, 3)
+    n, pos = _read_uvarint(data, pos)
+    ids = []
+    append = ids.append
+    for _ in range(n):
+        if data[pos] == _T_INT and data[pos + 1] < 0x80:
+            origin = _SMALL_INTS[data[pos + 1]]
+            pos += 2
+        else:
+            origin, pos = _read_value(data, pos)
+        seq = data[pos]
+        if seq < 0x80:
+            pos += 1
+        elif data[pos + 1] < 0x80:
+            seq = seq & 0x7F | data[pos + 1] << 7
+            pos += 2
+        else:
+            seq, pos = _read_uvarint(data, pos)
+        append(_new_tuple(EventId, (origin, seq)))
+    column = data[pos : pos + n]
+    if len(column) == n and column.isascii():  # one-byte ages
+        anchors = tuple([-age for age in column])
+        pos += n
+    else:
+        anchors = []
+        for _ in range(n):
+            age, pos = _read_uvarint(data, pos)
+            anchors.append(-age)
+        anchors = tuple(anchors)
+    if data.count(0, pos, pos + n) == n:  # n None tags
+        payloads = (None,) * n
+        pos += n
+    else:
+        payloads = []
+        for _ in range(n):
+            payload, pos = _read_value(data, pos)
+            payloads.append(payload)
+        payloads = tuple(payloads)
+    adaptive: Optional[AdaptiveHeader] = None
+    if data[pos]:
+        period, pos = _read_uvarint(data, pos + 1)
+        min_buff, pos = _read_value(data, pos)
+        adaptive = AdaptiveHeader(_unzigzag(period), min_buff)
+    else:
+        pos += 1
+    membership: Optional[MembershipHeader] = None
+    if data[pos]:
+        subs, pos = _read_value(data, pos + 1)
+        unsubs, pos = _read_value(data, pos)
+        membership = MembershipHeader(subs, unsubs)
+    else:
+        pos += 1
+    if pos != len(data):
+        raise CodecError("trailing garbage")
+    events = EventColumns(tuple(ids), 0, anchors, payloads)
+    return GossipMessage(sender, events, adaptive, membership, _KINDS[kind_code])
+
+
 class BinaryCodec:
-    """Compact binary encoding of gossip messages."""
+    """Compact binary encoding of gossip messages.
+
+    Both directions take a fast path for the event columns the live
+    runtime sends (small non-negative int origins, seqs of one or two
+    varint bytes, ages below 128, no payloads) and the generic
+    tagged-value path for any other value; the bytes are the same
+    either way.
+    """
 
     def encode(self, message: GossipMessage) -> bytes:
         """Serialise a message to the compact binary wire format."""
@@ -181,65 +288,56 @@ class BinaryCodec:
         if kind is None:
             raise CodecError(f"unknown message kind {message.kind!r}")
         out = bytearray((_MAGIC, _VERSION, kind))
+        append = out.append
         _write_value(out, message.sender)
         ids, ages, payloads = _as_columns(message.events)
         _write_uvarint(out, len(ids))
-        for event_id in ids:
-            _write_value(out, event_id.origin)
-            _write_uvarint(out, event_id.seq)
-        for age in ages:
-            _write_uvarint(out, age)
-        for payload in payloads:
-            _write_value(out, payload)
-        if message.adaptive is None:
-            out.append(0)
+        for origin, seq in ids:
+            if type(origin) is int and 0 <= origin < 0x40:
+                append(_T_INT)
+                append(origin << 1)
+            else:
+                _write_value(out, origin)
+            if type(seq) is int and 0 <= seq < 0x4000:
+                if seq < 0x80:
+                    append(seq)
+                else:
+                    append(seq & 0x7F | 0x80)
+                    append(seq >> 7)
+            else:
+                _write_uvarint(out, seq)
+        try:
+            column = bytes(ages)
+        except (TypeError, ValueError):  # an age outside 0..255
+            column = None
+        if column is not None and column.isascii():
+            out += column  # every age is a one-byte varint
         else:
-            out.append(1)
+            for age in ages:
+                _write_uvarint(out, age)
+        if all(map(_is_none, payloads)):
+            out += bytes(len(payloads))  # a run of None tags
+        else:
+            for payload in payloads:
+                _write_value(out, payload)
+        if message.adaptive is None:
+            append(0)
+        else:
+            append(1)
             _write_uvarint(out, _zigzag(message.adaptive.period))
             _write_value(out, message.adaptive.min_buff)
         if message.membership is None:
-            out.append(0)
+            append(0)
         else:
-            out.append(1)
+            append(1)
             _write_value(out, tuple(message.membership.subs))
             _write_value(out, tuple(message.membership.unsubs))
         return bytes(out)
 
     def decode(self, data: bytes) -> GossipMessage:
         """Parse wire bytes; raises :class:`CodecError` on malformed input."""
-        r = _Reader(data)
-        if r.byte() != _MAGIC:
-            raise CodecError("bad magic")
-        version = r.byte()
-        if version != _VERSION:
-            raise CodecError(f"unsupported version {version}")
-        kind_code = r.byte()
-        if kind_code >= len(_KINDS):
-            raise CodecError(f"unknown message kind code {kind_code}")
-        sender = _read_value(r)
-        n_events = r.uvarint()
-        ids = tuple(
-            EventId(_read_value(r), r.uvarint()) for _ in range(n_events)
-        )
-        anchors = tuple(-r.uvarint() for _ in range(n_events))
-        payloads = tuple(_read_value(r) for _ in range(n_events))
-        events = EventColumns(ids, 0, anchors, payloads)
-        adaptive: Optional[AdaptiveHeader] = None
-        if r.byte():
-            period = _unzigzag(r.uvarint())
-            min_buff = _read_value(r)
-            adaptive = AdaptiveHeader(period, min_buff)
-        membership: Optional[MembershipHeader] = None
-        if r.byte():
-            subs = _read_value(r)
-            unsubs = _read_value(r)
-            membership = MembershipHeader(subs, unsubs)
-        if r.pos != len(data):
-            raise CodecError("trailing garbage")
-        return GossipMessage(
-            sender=sender,
-            events=events,
-            adaptive=adaptive,
-            membership=membership,
-            kind=_KINDS[kind_code],
-        )
+        try:
+            return _decode(data)
+        except IndexError:  # read past the end
+            raise CodecError("truncated message") from None
+

@@ -24,8 +24,9 @@ elif _SRC not in _existing.split(os.pathsep):
 
 # The nightly deep parity run (`--hypothesis-profile=deep-parity`):
 # 20x the default example budget. The columnar-lane parity properties
-# scale their per-PR example counts by the loaded profile's
-# max_examples (tests/sim/test_vector_properties.py, `_examples`).
+# and the wire codec's properties scale their per-PR example counts by
+# the loaded profile's max_examples (`_examples` in
+# tests/sim/test_vector_properties.py and tests/runtime/test_codec.py).
 try:
     from hypothesis import settings as _hypothesis_settings
 except ImportError:  # pragma: no cover - hypothesis is a test extra
