@@ -36,6 +36,13 @@ counterparts of :class:`~repro.workload.cluster.SimCluster`'s
 ``crash_node``/``join_node``/``leave_node``. A scenario's feeders and
 timed conditions run on the same loop from :meth:`start` on.
 
+One clock: :meth:`ThreadedCluster.clock` counts spec seconds, and the
+protocols, the metrics, the feeders, the timed conditions and the chaos
+rules all read it. Only the host's waits — round sleeps, feeder and
+condition sleeps, chaos delays, the leave grace — turn spec seconds
+into wall seconds, by the time scale :meth:`ThreadedCluster.from_scenario`
+derives from its ``gossip_period`` (1 for a cluster built directly).
+
 An exception raised inside the loop by a protocol callback or a
 scheduled condition fails the run: :meth:`~ThreadedCluster.wait`
 returns early and :meth:`~ThreadedCluster.stop` raises it, naming the
@@ -46,7 +53,6 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import dataclasses
 import socket
 import threading
 import time
@@ -202,6 +208,7 @@ class LiveNode:
         host = self.host
         clock = host.clock
         rng = self.protocol.rng
+        scale = host._scale
         period = host.system.gossip_period
         jitter = host.system.round_jitter
         phase = host.system.round_phase
@@ -212,7 +219,7 @@ class LiveNode:
             now = clock()
             self._retry_offers(now)
             if now < next_round:
-                await asyncio.sleep(min(next_round - now, POLL_CAP))
+                await asyncio.sleep(min((next_round - now) * scale, POLL_CAP))
                 continue
             try:
                 batch = self.protocol.on_round_batch(now)
@@ -247,7 +254,7 @@ class LiveNode:
             return  # eaten: indistinguishable from wire loss
         data = host.codec.encode(message)
         if verdict > 0.0:
-            host._loop.call_later(verdict, self._send_late, dest, data)
+            host._loop.call_later(verdict * host._scale, self._send_late, dest, data)
         elif self._put(route, data):
             rules.note_sent()
 
@@ -293,7 +300,7 @@ class ThreadedCluster(Driver):
         A :class:`~repro.runtime.transport.ChaosRules` consulted on every
         send with a per-node stream seeded from ``seed``; the rule set
         may be mutated mid-run (fault windows, partitions) from any
-        thread.
+        thread. Its bandwidth-cap windows tick on :meth:`clock`.
     hosted:
         The identities this cluster runs (default: every identity, now
         or later). The others are remote: in the directory, reached
@@ -366,6 +373,9 @@ class ThreadedCluster(Driver):
         self._thread: Optional[threading.Thread] = None
         self._tasks: set[asyncio.Task] = set()  # the loop holds tasks weakly
         self._t0: Optional[float] = None
+        self._scale = 1.0  # wall seconds per spec second (see from_scenario)
+        if chaos is not None:
+            chaos.bind_clock(self.clock)
         self._stopped = False
         self.failure: Optional[RuntimeError] = None
         self._failed = threading.Event()
@@ -426,6 +436,13 @@ class ThreadedCluster(Driver):
     # ------------------------------------------------------------------
     # Driver hooks
     # ------------------------------------------------------------------
+    @staticmethod
+    def time_scale(spec, gossip_period: Optional[float] = None) -> float:
+        """Wall seconds per spec second when ``spec`` runs with one gossip
+        round every ``gossip_period`` wall seconds (default 0.1 s)."""
+        period = 0.1 if gossip_period is None else gossip_period
+        return period / spec.system.gossip_period
+
     @classmethod
     def from_scenario(
         cls,
@@ -436,33 +453,26 @@ class ThreadedCluster(Driver):
     ) -> "ThreadedCluster":
         """Instantiate a declarative scenario on the live host.
 
-        Real runs want short rounds, so the spec's gossip period is
-        replaced by ``gossip_period`` (default 0.1 s) and the whole
-        schedule shrinks by the same factor; everything else of the
-        protocol profile carries over, including partial-view
+        The protocols, feeders, timed conditions and chaos rules run in
+        spec seconds, exactly as the spec states them; ``gossip_period``
+        (default 0.1 s) only sets how many wall seconds one spec round —
+        and so one spec second — lasts (:meth:`time_scale`). The
+        protocol profile carries over whole, including partial-view
         membership. When the spec carries a network environment — a
         topology/latency model, baseline loss, or loss/partition/
         bandwidth fault windows — the nodes share one
         :class:`~repro.runtime.transport.ChaosRules`, pre-loaded with
-        the baseline loss and the latency model (link delays scaled
-        like the schedule). The spec's feeders and every timed
-        condition, those at t=0 included, are compiled onto
+        the baseline loss and the latency model. The spec's feeders and
+        every timed condition, those at t=0 included, are compiled onto
         :attr:`feeders` and :attr:`actions` and run from :meth:`start`
         on (hosted senders only: each shard paces its own).
         """
-        period = 0.1 if gossip_period is None else gossip_period
-        scale = period / spec.system.gossip_period
-        system = dataclasses.replace(spec.system, gossip_period=period)
         chaos = overrides.pop("chaos", None)
         if chaos is None and spec.wire_conditions:
-            chaos = ChaosRules(
-                loss=spec.baseline_loss,
-                latency=spec.build_latency(),
-                latency_scale=scale,
-            )
+            chaos = ChaosRules(loss=spec.baseline_loss, latency=spec.build_latency())
         cluster = cls(
             n_nodes=spec.n_nodes,
-            system=system,
+            system=spec.system,
             protocol=spec.protocol,
             adaptive=spec.adaptive,
             rate_limit=spec.rate_limit,
@@ -474,19 +484,13 @@ class ThreadedCluster(Driver):
             chaos=chaos,
             **overrides,
         )
-        if cluster.chaos is not None:
-            # cap windows must bucket per *spec* second (the simulator's
-            # granularity), not per wall second — at scale 0.1 a wall
-            # bucket would hand out ten spec-seconds of budget as one
-            # FCFS burst. The lowering therefore sets caps at the spec's
-            # unscaled msg/s rate.
-            cluster.chaos.bind_clock(lambda: cluster.clock() / scale)
+        cluster._scale = cls.time_scale(spec, gossip_period)
         # lazy: the scenario runner imports this module
         from repro.scenarios.runner import _Feeder
         from repro.scenarios.spec import lower_timed_conditions
 
         cluster.feeders = [
-            _Feeder(sender, scale, spec.seed)
+            _Feeder(sender, spec.seed)
             for sender in spec.senders
             if cluster.hosts(sender.node)
         ]
@@ -498,7 +502,6 @@ class ThreadedCluster(Driver):
                 spec.churn,
                 spec.resources,
                 spec.baseline_loss,
-                scale,
             )
         except Exception:
             cluster.stop()  # release the sockets bound so far
@@ -513,9 +516,10 @@ class ThreadedCluster(Driver):
         return max(0.1, self.system.gossip_period)
 
     def clock(self) -> float:
-        """Run-relative wall clock: 0 until :meth:`start`, then seconds since."""
+        """Run-relative spec clock: 0 until :meth:`start`, then the spec
+        seconds since (wall seconds divided by the time scale)."""
         t0 = self._t0
-        return 0.0 if t0 is None else time.monotonic() - t0
+        return 0.0 if t0 is None else (time.monotonic() - t0) / self._scale
 
     # ------------------------------------------------------------------
     # the loop thread
@@ -574,7 +578,7 @@ class ThreadedCluster(Driver):
         for due, _, fire in self.actions:
             delay = due - self.clock()
             if delay > 0:
-                await asyncio.sleep(delay)
+                await asyncio.sleep(delay * self._scale)
             try:
                 fire()
             except Exception as exc:
@@ -586,7 +590,7 @@ class ThreadedCluster(Driver):
         while feeder.stop is None or feeder.next < feeder.stop:
             now = self.clock()
             if feeder.next > now:
-                await asyncio.sleep(feeder.next - now)
+                await asyncio.sleep((feeder.next - now) * self._scale)
                 continue
             node = self.nodes.get(feeder.node)
             if node is not None:
@@ -728,7 +732,7 @@ class ThreadedCluster(Driver):
             node.stop()
         else:
             # one full round even with jitter, plus one offer-retry poll
-            grace = self.system.gossip_period * 1.2 + POLL_CAP
+            grace = self.system.gossip_period * 1.2 * self._scale + POLL_CAP
             self._loop.call_later(grace, node.stop)
 
     def join_node(self, node_id: Any) -> Optional[LiveNode]:

@@ -16,7 +16,8 @@ runs, its nodes on one event loop over real UDP sockets
    pipe, and waits for every ``ready``; a ``bind_failed`` (a port taken
    between probe and bind) tears everything down and retries with a
    fresh map under the next attempt salt;
-3. releases the **start barrier** and waits out the scaled run;
+3. releases the **start barrier** and waits out the run, the spec's
+   duration at ``gossip_period`` wall seconds per spec round;
 4. collects one picklable :class:`WorkerReport` per worker — the
    metrics shard, per-node deliveries, chaos statistics — or raises the
    first worker's ``("failed", id, reason)``; merges the
@@ -47,6 +48,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from repro.metrics.collector import MetricsCollector
+from repro.runtime.cluster import ThreadedCluster
 from repro.runtime.transport import ChaosStats
 from repro.runtime.worker import WorkerConfig, WorkerReport, worker_main
 from repro.sim.faults import CrashWindow
@@ -175,8 +177,10 @@ class ProcessCluster:
     spec:
         A picklable :class:`~repro.scenarios.spec.ScenarioSpec`.
     gossip_period:
-        Wall seconds per gossip round; sets the spec-to-wall time scale
-        exactly like the in-process driver (default 0.1 s).
+        Wall seconds per spec gossip round (default 0.1 s). Every worker
+        host runs the protocols, feeders, conditions and chaos in spec
+        seconds; this only sets how many wall seconds one spec second
+        lasts, exactly like the in-process driver.
     n_workers:
         Worker process count (default :func:`default_worker_count`).
     host:
@@ -203,7 +207,7 @@ class ProcessCluster:
             raise ValueError("gossip_period must be > 0")
         self.spec = spec
         self.gossip_period = gossip_period
-        self.scale = gossip_period / spec.system.gossip_period
+        self.scale = ThreadedCluster.time_scale(spec, gossip_period)
         self.n_workers = (
             default_worker_count(spec.n_nodes)
             if n_workers is None

@@ -223,6 +223,10 @@ class ChaosRules:
     Decision RNGs belong to the sending nodes, not to the rule set, so
     rule mutations never perturb another node's random stream.
 
+    Every time the rules speak is in the host's seconds — spec seconds
+    on the live host, which turns a delay into wall time only when it
+    arms the timer — and every node is named by its protocol id.
+
     Parameters
     ----------
     loss / latency:
@@ -230,57 +234,29 @@ class ChaosRules:
         (:class:`~repro.sim.network.LossModel` with
         ``is_lost(src, dst, rng)``, ``LatencyModel`` with
         ``sample(src, dst, rng)``); either may be None.
-    latency_scale:
-        Multiplier applied to sampled latencies — threaded scenario runs
-        compress spec time onto a shorter wall clock, and link delays
-        must shrink with it.
-    clock:
-        Time source for bandwidth-cap window accounting. Delayed
-        datagrams always ride wall time (the host's loop timers), so an
-        injected clock shapes cap windows only.
-    node_of:
-        Maps destination addresses back to protocol node ids (identity
-        by default — correct whenever callers pass node ids, as the live
-        host does); loss/latency/partition rules all speak node ids.
     """
 
-    def __init__(
-        self,
-        loss: Optional[Any] = None,
-        latency: Optional[Any] = None,
-        latency_scale: float = 1.0,
-        clock: Callable[[], float] = time.monotonic,
-        node_of: Optional[Callable[[Any], Any]] = None,
-    ) -> None:
-        if latency_scale <= 0:
-            raise ValueError("latency_scale must be > 0")
+    def __init__(self, loss: Optional[Any] = None, latency: Optional[Any] = None) -> None:
         self._lock = threading.Lock()
         self._loss = loss
         self._latency = latency
-        self._latency_scale = latency_scale
         self._cap = RateWindow()
         self._partition_of: dict[Any, int] = {}
         self._oneway_of: dict[Any, int] = {}
         self._oneway_blocked: frozenset = frozenset()
         self._link_loss: Optional[dict] = None
-        self._clock = clock
-        self._node_of = node_of if node_of is not None else lambda addr: addr
+        self._clock: Callable[[], float] = time.monotonic
         self.stats = ChaosStats()
 
     # ------------------------------------------------------------------
     # rule mutation (any thread)
     # ------------------------------------------------------------------
-    def bind_address_map(self, node_of: Callable[[Any], Any]) -> None:
-        """Install the address→node translation (clusters wire this)."""
-        self._node_of = node_of
-
     def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Install the cap-accounting clock (clusters wire this).
+        """Install the cap-accounting clock (``time.monotonic`` until then).
 
-        Scenario lowering binds a *spec-time* clock (wall seconds
-        divided by the run's time scale), so cap windows bucket per
-        spec second exactly like the simulator's network — same budget
-        granularity, not just the same average rate.
+        The live host binds its own spec-second clock, so cap windows
+        bucket per spec second exactly like the simulator's network —
+        same budget granularity, not just the same average rate.
         """
         with self._lock:
             self._clock = clock
@@ -297,7 +273,7 @@ class ChaosRules:
             self._latency = latency
 
     def set_bandwidth_cap(self, rate: Optional[float]) -> None:
-        """Cap throughput at ``rate`` datagrams per wall second.
+        """Cap throughput at ``rate`` datagrams per second of the bound clock.
 
         The accounting is the simulator's own
         :class:`~repro.sim.network.RateWindow` (one-second windows), so
@@ -363,8 +339,9 @@ class ChaosRules:
     # ------------------------------------------------------------------
     # the decision (the sender's thread: the host's event loop)
     # ------------------------------------------------------------------
-    def plan(self, src: Any, dest_addr: Any, rng: random.Random) -> Optional[float]:
-        """Decide one send's fate: None = eat it, else delay in seconds.
+    def plan(self, src: Any, dst: Any, rng: random.Random) -> Optional[float]:
+        """Decide one send's fate: None = eat it, else delay in the
+        host's seconds.
 
         Rule order mirrors the simulator's network: partition and cap
         filtering happen *before* the loss model, so the RNG stream of
@@ -374,7 +351,6 @@ class ChaosRules:
         per decision) and are shared by every sender, so the model call
         itself must be serialised, not just the rule snapshot.
         """
-        dst = self._node_of(dest_addr)
         with self._lock:
             stats = self.stats
             if crosses_partition(self._partition_of, src, dst):
@@ -397,7 +373,7 @@ class ChaosRules:
                     stats.link_dropped += 1
                     return None
             if self._latency is not None:
-                delay = self._latency.sample(src, dst, rng) * self._latency_scale
+                delay = self._latency.sample(src, dst, rng)
                 if delay > 0:
                     stats.delayed += 1
                     return delay

@@ -57,7 +57,7 @@ class WorkerConfig:
     spec: Any  # a picklable ScenarioSpec
     nodes: tuple  # identities this worker owns (including future joiners)
     port_map: dict  # node id -> (host, port), every identity in the run
-    gossip_period: float  # wall seconds per round (sets the time scale)
+    gossip_period: float  # wall seconds per spec round (sets the time scale)
     wall_seconds: float  # run length after the start barrier
 
 

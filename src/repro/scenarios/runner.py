@@ -22,12 +22,14 @@ skipped* rather than silently dropped; :func:`live_coverage` computes
 the injected/skipped split without running anything, so the CLI and the
 parity tests can audit coverage cheaply.
 
-Virtual-to-wall time mapping: live runs use a short gossip period
-(default 0.1 s vs the spec's 1 s), so one spec second maps to
-``gossip_period / spec.system.gossip_period`` wall seconds; offer
-intervals, fault/churn offsets and link latencies shrink by the same
-factor and bandwidth caps grow by its inverse — the load:capacity
-regime of the scenario is preserved, only the clock changes.
+Spec time on a wall clock: the protocols, feeders, timed conditions and
+chaos rules of a live run all read the host's clock, which counts spec
+seconds, so admission rates, offer intervals, fault/churn offsets, link
+latencies and bandwidth caps mean what the spec says. ``gossip_period``
+only sets how many wall seconds one spec second lasts
+(``gossip_period / spec.system.gossip_period``, default 0.1 s per
+round); the host applies that factor where its loop waits, and nowhere
+else.
 """
 
 from __future__ import annotations
@@ -166,19 +168,18 @@ class LiveScenarioReport:
 
 
 class _Feeder:
-    """Paces one sender's offers in scaled wall time."""
+    """Paces one sender's offers in spec seconds."""
 
-    def __init__(self, sender, scale: float, seed: int) -> None:
+    def __init__(self, sender, seed: int) -> None:
         self.node = sender.node
         self.arrivals = sender.build_arrivals()
         # sender nodes are ints by ScenarioSpec validation
         self.rng = Random(seed * 1_000_003 + sender.node)
-        self.scale = scale
-        self.stop = None if sender.stop is None else sender.stop * scale
-        self.next = sender.start * scale + self.arrivals.next_interval(self.rng) * scale
+        self.stop = sender.stop
+        self.next = sender.start + self.arrivals.next_interval(self.rng)
 
     def advance(self) -> None:
-        self.next += self.arrivals.next_interval(self.rng) * self.scale
+        self.next += self.arrivals.next_interval(self.rng)
 
 
 # condition -> how the live host lowers it, whichever front door (one
@@ -251,13 +252,13 @@ def run_scenario_threaded(
 ) -> LiveScenarioReport:
     """Drive a scenario on :class:`~repro.runtime.cluster.ThreadedCluster`.
 
-    ``wall_seconds`` bounds the run (default: the whole scenario at the
-    scaled clock). Every node runs in this process, over the memory hop
-    by default; the host paces the offers and fires every scheduled
-    condition on its own event loop. A failure inside the loop is
-    raised here.
+    ``wall_seconds`` bounds the run (default: the whole scenario, at
+    ``gossip_period`` wall seconds per spec round). Every node runs in
+    this process, over the memory hop by default; the host paces the
+    offers and fires every scheduled condition on its own event loop. A
+    failure inside the loop is raised here.
     """
-    scale = gossip_period / spec.system.gossip_period
+    scale = ThreadedCluster.time_scale(spec, gossip_period)
     wall = spec.duration * scale if wall_seconds is None else wall_seconds
     cluster = ThreadedCluster.from_scenario(
         spec, gossip_period=gossip_period, transport=transport
@@ -306,7 +307,7 @@ def run_scenario_process(
 ) -> LiveScenarioReport:
     """Drive a scenario on :class:`~repro.runtime.process_cluster.ProcessCluster`.
 
-    Same host, time scaling and condition vocabulary as
+    Same host, clock and condition vocabulary as
     :func:`run_scenario_threaded`, but the group is sharded across
     ``workers`` OS processes gossiping over real UDP sockets; feeders,
     chaos windows, crash/restart and churn all fire on the event loop of

@@ -372,7 +372,6 @@ def lower_timed_conditions(
     churn: Optional[ChurnScript] = None,
     resources: Optional[ResourceScript] = None,
     baseline_loss: Optional[LossModel] = None,
-    scale: float = 1.0,
 ):
     """Lower a run's timed conditions onto ``(time, seq, thunk)`` triples.
 
@@ -386,7 +385,7 @@ def lower_timed_conditions(
     ``join_node`` and ``leave_node`` calls, ignoring nodes (or senders)
     it does not host. Neither is touched here, only when a thunk fires:
     the simulator puts the triples on its heap, the live host on its
-    event loop. ``time`` is the spec time times ``scale``.
+    event loop. ``time`` is in spec seconds on every driver.
 
     Same-instant order: resource changes, then fault windows sorted
     stably by start time with each window's open and close added
@@ -402,7 +401,7 @@ def lower_timed_conditions(
     not_lowered: list = []
 
     def add(spec_time: float, thunk) -> None:
-        actions.append((spec_time * scale, len(actions), thunk))
+        actions.append((spec_time, len(actions), thunk))
 
     def on_nodes(method: str, nodes, *args):
         def fire() -> None:
@@ -451,7 +450,7 @@ def lower_timed_conditions(
             add(end, lambda: rules.heal_oneway())
         else:  # BandwidthCapWindow
             # a cap is a rate per spec second on both drivers (the live
-            # rules' cap clock ticks in spec seconds), so it never scales
+            # rules' cap clock is the host's spec clock)
             add(fault.time, lambda f=fault: rules.set_bandwidth_cap(f.rate))
             add(end, lambda: rules.set_bandwidth_cap(None))
 

@@ -13,6 +13,7 @@ from repro.runtime.transport import (
     Transport,
     UdpTransport,
 )
+from repro.scenarios.spec import ScenarioSpec, SenderSpec
 from repro.sim.network import BernoulliLoss, ConstantLatency, UniformLatency
 from repro.sim.rng import derive_seed
 
@@ -67,10 +68,38 @@ def test_same_seed_same_delay_draws():
 
 
 def test_latency_scale_compresses_delays():
-    rules = ChaosRules(latency=ConstantLatency(0.5), latency_scale=0.1)
-    verdict = rules.plan(0, 1, random.Random(0))
-    rules.close()
-    assert verdict == pytest.approx(0.05)
+    """The rules plan a delay in spec seconds; the host arms it in wall
+    seconds: at scale 0.1, a 0.5 s link latency holds a datagram about
+    0.05 wall s (unscaled, the spec latency would be at least 5 s)."""
+    rules = ChaosRules(latency=ConstantLatency(0.5))
+    assert rules.plan(0, 1, random.Random(0)) == 0.5  # spec seconds
+    spec = ScenarioSpec(
+        name="spec-delays",
+        n_nodes=2,
+        system=SystemConfig(round_phase=0.0, buffer_capacity=64, dedup_capacity=512),
+        senders=(SenderSpec(0, 1.0, start=100.0),),  # never fires here
+        duration=200.0,
+        warmup=1.0,
+        drain=1.0,
+        seed=1,
+    )
+    cluster = ThreadedCluster.from_scenario(spec, gossip_period=0.1, chaos=rules)
+    cluster.start()
+    try:
+        sent = time.monotonic()
+        cluster.broadcast(0, "late")
+        while cluster.protocol_of(1).stats.events_delivered < 1:
+            assert time.monotonic() - sent < 2.0, "the delayed datagram never arrived"
+            time.sleep(0.005)
+        wall = time.monotonic() - sent
+    finally:
+        cluster.stop()
+    (record,) = cluster.metrics.messages.values()
+    # held 0.5 spec s on the link, after at most one jittered 1 s round...
+    assert 0.5 <= record.last_delivery - record.broadcast_time < 2.0
+    # ...which is 0.05 + at most 0.105 wall s, well short of 0.5 wall s
+    assert wall < 0.4
+    assert rules.stats.delayed > 0
 
 
 def test_partition_blocks_cross_group_only():
@@ -89,7 +118,8 @@ def test_partition_blocks_cross_group_only():
 
 def test_bandwidth_cap_windows():
     t = [100.0]
-    rules = ChaosRules(clock=lambda: t[0])
+    rules = ChaosRules()
+    rules.bind_clock(lambda: t[0])
     rules.set_bandwidth_cap(3.0)
     rng = random.Random(0)
     verdicts = [rules.plan(0, 1, rng) for _ in range(5)]
@@ -106,8 +136,6 @@ def test_cap_validation():
     rules = ChaosRules()
     with pytest.raises(ValueError):
         rules.set_bandwidth_cap(0.0)
-    with pytest.raises(ValueError):
-        ChaosRules(latency_scale=0.0)
     rules.close()
 
 

@@ -201,16 +201,27 @@ def test_from_scenario_builds_threaded_cluster():
     ).stressed(SlowReceivers(capacity=9, nodes=(3,)))
     cluster = ThreadedCluster.from_scenario(spec, gossip_period=0.05)
     try:
-        # the protocol profile carried over, rounds rescaled, and the
-        # t=0 capacity override is the first scheduled action (the loop
-        # fires it as it starts, before any feeder offers)
-        assert cluster.system.gossip_period == 0.05
+        # the protocol profile carried over whole, the spec's period
+        # included, and the t=0 capacity override is the first scheduled
+        # action (the loop fires it as it starts, before any feeder offers)
+        assert cluster.system == spec.system
+        assert cluster.system.gossip_period == 1.0
         assert cluster.system.buffer_capacity == 40
         due, _, fire = cluster.actions[0]
         assert due == 0.0
         fire()
         assert cluster.protocol_of(3).buffer_capacity == 9
         assert cluster.group_size == 4
+        # the clock is paced: 0.05 wall s per spec round of 1 s, so it
+        # counts twenty spec seconds per wall second
+        assert ThreadedCluster.time_scale(spec, 0.05) == 0.05
+        assert cluster.clock() == 0.0
+        before = time.monotonic()
+        cluster.start()
+        time.sleep(0.2)
+        spec_now = cluster.clock()
+        wall = time.monotonic() - before
+        assert 0.2 / 0.05 <= spec_now <= wall / 0.05
     finally:
         cluster.stop()
 

@@ -6,7 +6,7 @@ cluster) and ``ThreadedCluster.from_scenario`` (rules: the
 ``ChaosRules``; target: the cluster, whole or one worker's shard)
 compile their schedules with. Run it here against recording fakes for
 the whole registry: each resource change, fault window and churn event
-of the spec must come out as its calls at the scaled times, in
+of the spec must come out as its calls at its spec times, in
 ``(time, seq)`` order, and what the function reports as not lowered
 must be exactly what the coverage audit reports as skipped.
 """
@@ -34,8 +34,6 @@ from repro.sim.network import BernoulliLoss
 from repro.workload.cluster import SimCluster
 from repro.workload.dynamics import CapacityChange, ResourceScript
 
-SCALE = 0.1
-
 
 class _Recorder:
     """Records ``(prefix + method name, args)`` for every call made on it."""
@@ -48,7 +46,7 @@ class _Recorder:
         return lambda *args: self._log.append((self._prefix + name, args))
 
 
-def _lower(spec, log: list, scale: float = SCALE):
+def _lower(spec, log: list):
     """Lower ``spec`` onto a recording rule set and a recording target."""
     return lower_timed_conditions(
         _Recorder(log, "chaos."),
@@ -57,7 +55,6 @@ def _lower(spec, log: list, scale: float = SCALE):
         spec.churn,
         spec.resources,
         spec.baseline_loss,
-        scale,
     )
 
 
@@ -121,9 +118,9 @@ def test_every_scheduled_condition_lowers_onto_the_target(name):
     assert len({seq for _, seq in keys}) == len(keys)
 
     fired = _fire(actions, log)
-    expected = [
-        (time * SCALE, call, args) for time, call, args in _expected_calls(spec)
-    ]
+    # spec seconds on every driver: the live host paces its waits, not
+    # the schedule
+    expected = _expected_calls(spec)
 
     def key(entry):
         return (entry[0], entry[1], repr(entry[2]))
@@ -156,7 +153,7 @@ def _back_to_back_spec() -> ScenarioSpec:
 
 def test_back_to_back_windows_close_before_the_next_opens():
     log: list = []
-    actions, _ = _lower(_back_to_back_spec(), log, scale=1.0)
+    actions, _ = _lower(_back_to_back_spec(), log)
     at_ten = [(call, args) for due, call, args in _fire(actions, log) if due == 10.0]
     assert at_ten == [
         ("set_capacity", (7, 9)),
@@ -172,11 +169,11 @@ def test_back_to_back_windows_close_before_the_next_opens():
 def test_back_to_back_windows_leave_the_later_loss_in_force_on_every_driver():
     spec = _back_to_back_spec()
     # live: the host's own schedule, fired up to the instant in order
-    # (wall time 10 * 0.1 s) on the idle cluster
+    # (spec time 10 s, whatever the gossip period) on the idle cluster
     live = ThreadedCluster.from_scenario(spec, gossip_period=0.1)
     try:
         for due, _, fire in live.actions:
-            if due <= 10.0 * 0.1:
+            if due <= 10.0:
                 fire()
         assert live.chaos._loss == BernoulliLoss(0.5)
     finally:
