@@ -26,7 +26,8 @@ from typing import Any, Callable, Iterable, Optional
 from repro.core.aggregation import Aggregate
 from repro.core.config import AdaptiveConfig
 from repro.gossip.config import SystemConfig
-from repro.membership.full import Directory
+from repro.membership.full import Directory, FullMembershipView
+from repro.membership.views import PartialViewMembership, ViewConfig
 from repro.metrics.collector import MetricsCollector
 
 __all__ = ["Driver", "ProtocolFactory", "make_protocol_factory"]
@@ -161,6 +162,11 @@ class Driver(abc.ABC):
         The initial members' ids when they are not ``0 .. n_nodes - 1``
         (a standalone live node names itself and its peers); ``n_nodes``
         is then ignored.
+    membership:
+        ``"full"`` (every node views the shared directory) or
+        ``"partial"`` (per-node lpbcast views, see :meth:`_make_membership`).
+    view_config:
+        Partial-view parameters; ``None`` uses :class:`ViewConfig`'s.
     """
 
     def __init__(
@@ -174,7 +180,11 @@ class Driver(abc.ABC):
         bucket_width: Optional[float] = None,
         aggregate_metrics: bool = False,
         members: Optional[Iterable[Any]] = None,
+        membership: str = "full",
+        view_config: Optional[ViewConfig] = None,
     ) -> None:
+        if membership not in ("full", "partial"):
+            raise ValueError(f"unknown membership kind {membership!r}")
         if members is None:
             if n_nodes < 2:
                 raise ValueError("need at least 2 nodes")
@@ -192,6 +202,8 @@ class Driver(abc.ABC):
             self._factory = make_protocol_factory(
                 protocol, adaptive=adaptive, rate_limit=rate_limit, aggregate=aggregate
             )
+        self.membership_kind = membership
+        self.view_config = view_config
         self.nodes: dict[Any, Any] = {}
 
     # ------------------------------------------------------------------
@@ -222,6 +234,21 @@ class Driver(abc.ABC):
             collector.on_drop(node_id, event_id, age, reason, now)
 
         return drop_fn
+
+    def _make_membership(self, node_id: Any, rngs: Any):
+        """Membership for a fresh incarnation of ``node_id``.
+
+        A partial view bootstraps from a sample of the currently alive
+        members, drawn from ``rngs``' (the subclass's
+        :class:`~repro.sim.rng.RngRegistry`) ``"bootstrap_view"`` stream.
+        """
+        if self.membership_kind == "full":
+            return FullMembershipView(self.directory, node_id)
+        rng = rngs.stream("bootstrap_view", node_id)
+        others = [n for n in self.directory.alive() if n != node_id]
+        cfg = self.view_config or ViewConfig()
+        bootstrap = rng.sample(others, min(len(others), cfg.view_size))
+        return PartialViewMembership(node_id, cfg, initial_view=bootstrap)
 
     def _build_protocol(self, node_id: Any, membership: Any, rng: Any, now: float):
         """Instantiate the configured protocol for one node."""

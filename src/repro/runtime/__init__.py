@@ -14,7 +14,9 @@ the simulator, driven in wall-clock time over a real hop.
   consults, and two reference endpoints (in-memory hub, UDP socket).
 * :mod:`repro.runtime.process_cluster` / :mod:`repro.runtime.worker` —
   the shared-nothing multi-process driver: one host per worker process,
-  coordinated over control pipes.
+  coordinated over control pipes; each worker reports its shard as a
+  :class:`~repro.scenarios.runner.LiveScenarioReport` and the parent
+  folds them.
 * :mod:`repro.runtime.standalone` — one node per OS process, the
   paper's deployment shape in miniature.
 """
@@ -23,12 +25,11 @@ from repro.runtime.codec import BinaryCodec, CodecError
 from repro.runtime.cluster import ThreadedCluster
 from repro.runtime.process_cluster import (
     ProcessCluster,
-    ProcessRunResult,
     default_worker_count,
     scenario_identities,
     seeded_port_map,
 )
-from repro.runtime.worker import WorkerConfig, WorkerReport, worker_main
+from repro.runtime.worker import WorkerConfig, worker_main
 from repro.runtime.transport import (
     ChaosRules,
     ChaosStats,
@@ -49,9 +50,7 @@ __all__ = [
     "ChaosStats",
     "ThreadedCluster",
     "ProcessCluster",
-    "ProcessRunResult",
     "WorkerConfig",
-    "WorkerReport",
     "default_worker_count",
     "scenario_identities",
     "seeded_port_map",

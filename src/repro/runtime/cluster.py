@@ -63,8 +63,7 @@ from repro.core.aggregation import Aggregate
 from repro.core.config import AdaptiveConfig
 from repro.driver import Driver
 from repro.gossip.config import SystemConfig
-from repro.membership.full import FullMembershipView
-from repro.membership.views import PartialViewMembership, ViewConfig
+from repro.membership.views import ViewConfig
 from repro.runtime.codec import BinaryCodec
 from repro.runtime.transport import ChaosRules
 from repro.sim.rng import RngRegistry, derive_seed
@@ -208,7 +207,7 @@ class LiveNode:
         host = self.host
         clock = host.clock
         rng = self.protocol.rng
-        scale = host._scale
+        scale = host.scale
         period = host.system.gossip_period
         jitter = host.system.round_jitter
         phase = host.system.round_phase
@@ -254,7 +253,7 @@ class LiveNode:
             return  # eaten: indistinguishable from wire loss
         data = host.codec.encode(message)
         if verdict > 0.0:
-            host._loop.call_later(verdict * host._scale, self._send_late, dest, data)
+            host._loop.call_later(verdict * host.scale, self._send_late, dest, data)
         elif self._put(route, data):
             rules.note_sent()
 
@@ -334,8 +333,6 @@ class ThreadedCluster(Driver):
     ) -> None:
         if transport not in ("memory", "udp"):
             raise ValueError(f"unknown transport {transport!r}")
-        if membership not in ("full", "partial"):
-            raise ValueError(f"unknown membership kind {membership!r}")
         if port_map is not None and transport != "udp":
             raise ValueError("a port map needs transport='udp'")
         super().__init__(
@@ -346,12 +343,12 @@ class ThreadedCluster(Driver):
             rate_limit=rate_limit,
             aggregate=aggregate,
             members=members,
+            membership=membership,
+            view_config=None if view_size is None else ViewConfig(view_size=view_size),
         )
         self.codec = BinaryCodec()
         self.seed = seed
         self.chaos = chaos
-        self.membership_kind = membership
-        self.view_size = view_size
         self._rngs = RngRegistry(seed)
         self._memory = transport == "memory"
         self._hosted = None if hosted is None else frozenset(hosted)
@@ -373,7 +370,7 @@ class ThreadedCluster(Driver):
         self._thread: Optional[threading.Thread] = None
         self._tasks: set[asyncio.Task] = set()  # the loop holds tasks weakly
         self._t0: Optional[float] = None
-        self._scale = 1.0  # wall seconds per spec second (see from_scenario)
+        self.scale = 1.0  # wall seconds per spec second (see from_scenario)
         if chaos is not None:
             chaos.bind_clock(self.clock)
         self._stopped = False
@@ -394,19 +391,6 @@ class ThreadedCluster(Driver):
         """Whether ``node_id`` runs here (rather than in another shard)."""
         return self._hosted is None or node_id in self._hosted
 
-    def _make_membership(self, node_id: Any):
-        if self.membership_kind == "full":
-            return FullMembershipView(self.directory, node_id)
-        rng = self._rngs.stream("bootstrap_view", node_id)
-        others = [n for n in self.directory.alive() if n != node_id]
-        cfg = (
-            ViewConfig(view_size=self.view_size)
-            if self.view_size is not None
-            else ViewConfig()
-        )
-        bootstrap = rng.sample(others, min(len(others), cfg.view_size))
-        return PartialViewMembership(node_id, cfg, initial_view=bootstrap)
-
     def _spawn(self, node_id: Any) -> LiveNode:
         """Build (and, if running, start) a fresh incarnation of a node."""
         sock = None
@@ -421,7 +405,7 @@ class ThreadedCluster(Driver):
             self._routes[node_id] = sock.getsockname()
         proto = self._build_protocol(
             node_id,
-            self._make_membership(node_id),
+            self._make_membership(node_id, self._rngs),
             self._rngs.stream("protocol", node_id),
             self.clock(),
         )
@@ -484,7 +468,7 @@ class ThreadedCluster(Driver):
             chaos=chaos,
             **overrides,
         )
-        cluster._scale = cls.time_scale(spec, gossip_period)
+        cluster.scale = cls.time_scale(spec, gossip_period)
         # lazy: the scenario runner imports this module
         from repro.scenarios.runner import _Feeder
         from repro.scenarios.spec import lower_timed_conditions
@@ -519,7 +503,7 @@ class ThreadedCluster(Driver):
         """Run-relative spec clock: 0 until :meth:`start`, then the spec
         seconds since (wall seconds divided by the time scale)."""
         t0 = self._t0
-        return 0.0 if t0 is None else (time.monotonic() - t0) / self._scale
+        return 0.0 if t0 is None else (time.monotonic() - t0) / self.scale
 
     # ------------------------------------------------------------------
     # the loop thread
@@ -578,7 +562,7 @@ class ThreadedCluster(Driver):
         for due, _, fire in self.actions:
             delay = due - self.clock()
             if delay > 0:
-                await asyncio.sleep(delay * self._scale)
+                await asyncio.sleep(delay * self.scale)
             try:
                 fire()
             except Exception as exc:
@@ -590,7 +574,7 @@ class ThreadedCluster(Driver):
         while feeder.stop is None or feeder.next < feeder.stop:
             now = self.clock()
             if feeder.next > now:
-                await asyncio.sleep((feeder.next - now) * self._scale)
+                await asyncio.sleep((feeder.next - now) * self.scale)
                 continue
             node = self.nodes.get(feeder.node)
             if node is not None:
@@ -732,7 +716,7 @@ class ThreadedCluster(Driver):
             node.stop()
         else:
             # one full round even with jitter, plus one offer-retry poll
-            grace = self.system.gossip_period * 1.2 * self._scale + POLL_CAP
+            grace = self.system.gossip_period * 1.2 * self.scale + POLL_CAP
             self._loop.call_later(grace, node.stop)
 
     def join_node(self, node_id: Any) -> Optional[LiveNode]:

@@ -18,14 +18,13 @@ runs, its nodes on one event loop over real UDP sockets
    fresh map under the next attempt salt;
 3. releases the **start barrier** and waits out the run, the spec's
    duration at ``gossip_period`` wall seconds per spec round;
-4. collects one picklable :class:`WorkerReport` per worker — the
-   metrics shard, per-node deliveries, chaos statistics — or raises the
-   first worker's ``("failed", id, reason)``; merges the
-   :class:`~repro.metrics.collector.MetricsCollector` shards (the
-   collector's early-delivery parking reconciles cross-shard
-   deliveries against their origin shard's admission records), and
-   tears the workers down, escalating join → terminate → kill so no
-   process ever outlives the run.
+4. collects one :class:`~repro.scenarios.runner.LiveScenarioReport`
+   per worker — its shard's report, built by the same
+   :func:`~repro.scenarios.runner.live_report` as the threaded
+   driver's — or raises the first worker's ``("failed", id, reason)``;
+   folds the shards into one report (:func:`fold_reports`), and tears
+   the workers down, escalating join → terminate → kill so no process
+   ever outlives the run.
 
 Scenario lowering itself (chaos windows, churn, crash/restart, feeder
 pacing) happens *inside* the workers: each host carries the full
@@ -43,14 +42,11 @@ import multiprocessing
 import os
 import socket
 import time
-from dataclasses import dataclass, field
 from random import Random
 from typing import Optional, Sequence
 
-from repro.metrics.collector import MetricsCollector
 from repro.runtime.cluster import ThreadedCluster
-from repro.runtime.transport import ChaosStats
-from repro.runtime.worker import WorkerConfig, WorkerReport, worker_main
+from repro.runtime.worker import WorkerConfig, worker_main
 from repro.sim.faults import CrashWindow
 from repro.sim.rng import derive_seed
 
@@ -59,7 +55,7 @@ __all__ = [
     "default_worker_count",
     "seeded_port_map",
     "scenario_identities",
-    "ProcessRunResult",
+    "fold_reports",
     "ProcessCluster",
 ]
 
@@ -150,23 +146,37 @@ def scenario_identities(spec) -> list:
     return sorted(identities)
 
 
-@dataclass
-class ProcessRunResult:
-    """The merged outcome of one multi-process run (all shards)."""
+#: the report counts that add up across shards; the delivered min/max
+#: span the shards, and every other field is the same on each
+_SUMMED = (
+    "offers",
+    "admitted",
+    "delivered_total",
+    "duplicates_seen",
+    "chaos_eaten",
+    "chaos_delayed",
+    "chaos_oneway_dropped",
+    "decode_errors",
+    "send_failures",
+    "bind_errors",
+)
 
-    n_workers: int
-    wall_seconds: float
-    time_scale: float
-    offers: int
-    admitted: int
-    delivered: dict  # node id -> events_delivered (current incarnation)
-    duplicates: int
-    decode_errors: int
-    send_failures: int
-    bind_errors: int
-    chaos: ChaosStats = field(default_factory=ChaosStats)
-    metrics: Optional[MetricsCollector] = None
-    port_attempts: int = 1  # seeded maps tried before every worker bound
+
+def fold_reports(reports: Sequence, n_workers: int, port_attempts: int):
+    """Fold the shards' live reports into the whole run's report.
+
+    Counts add up; the per-node delivered min and max are taken over the
+    shards, which is exact because every shard hosts at least one
+    initial member (:meth:`ProcessCluster.shards`).
+    """
+    return dataclasses.replace(
+        reports[0],
+        **{name: sum(getattr(r, name) for r in reports) for name in _SUMMED},
+        delivered_min=min(r.delivered_min for r in reports),
+        delivered_max=max(r.delivered_max for r in reports),
+        n_workers=n_workers,
+        port_attempts=port_attempts,
+    )
 
 
 class ProcessCluster:
@@ -222,7 +232,12 @@ class ProcessCluster:
     # sharding
     # ------------------------------------------------------------------
     def shards(self, identities: Sequence) -> list[tuple]:
-        """Round-robin identities across workers (spreads senders too)."""
+        """Round-robin identities across workers (spreads senders too).
+
+        Dealt in sorted order, so with ``n_workers <= n_nodes`` every
+        worker gets at least one of the initial members ``0 .. n_nodes - 1``
+        before any later joiner.
+        """
         shards: list[list] = [[] for _ in range(self.n_workers)]
         for index, node in enumerate(sorted(identities)):
             shards[index % self.n_workers].append(node)
@@ -231,7 +246,9 @@ class ProcessCluster:
     # ------------------------------------------------------------------
     # the run
     # ------------------------------------------------------------------
-    def run(self, wall_seconds: Optional[float] = None) -> ProcessRunResult:
+    def run(self, wall_seconds: Optional[float] = None):
+        """Run the scenario across the workers; the folded
+        :class:`~repro.scenarios.runner.LiveScenarioReport`."""
         spec = self.spec
         spec.faults.validate()  # before any process exists, like threaded
         wall = spec.duration * self.scale if wall_seconds is None else wall_seconds
@@ -255,8 +272,7 @@ class ProcessCluster:
                 )
             for conn in self._conns:
                 conn.send(("start",))
-            reports = self._collect(wall)
-            return self._merge(reports, wall, attempt + 1)
+            return fold_reports(self._collect(wall), self.n_workers, attempt + 1)
         finally:
             self._teardown()
 
@@ -265,7 +281,6 @@ class ProcessCluster:
             parent_conn, child_conn = self._ctx.Pipe()
             config = WorkerConfig(
                 worker_id=worker_id,
-                n_workers=self.n_workers,
                 spec=self.spec,
                 nodes=nodes,
                 port_map=dict(port_map),
@@ -306,9 +321,9 @@ class ProcessCluster:
                 return f"worker {worker_id} sent unexpected {msg[0]!r}"
         return ""
 
-    def _collect(self, wall: float) -> list[WorkerReport]:
+    def _collect(self, wall: float) -> list:
         deadline = time.monotonic() + wall + self.RESULT_GRACE
-        reports: list[WorkerReport] = []
+        reports: list = []
         missing: list[int] = []
         for worker_id, conn in enumerate(self._conns):
             report = None
@@ -332,47 +347,6 @@ class ProcessCluster:
                 f"(wall {wall:.1f}s + {self.RESULT_GRACE:.0f}s grace)"
             )
         return reports
-
-    def _merge(
-        self, reports: list[WorkerReport], wall: float, attempts: int
-    ) -> ProcessRunResult:
-        result = ProcessRunResult(
-            n_workers=self.n_workers,
-            wall_seconds=wall,
-            time_scale=self.scale,
-            offers=0,
-            admitted=0,
-            delivered={},
-            duplicates=0,
-            decode_errors=0,
-            send_failures=0,
-            bind_errors=0,
-            port_attempts=attempts,
-        )
-        for report in sorted(reports, key=lambda r: r.worker_id):
-            result.offers += report.offers
-            result.admitted += report.admitted
-            result.duplicates += report.duplicates
-            result.decode_errors += report.decode_errors
-            result.send_failures += report.send_failures
-            result.bind_errors += report.bind_errors
-            result.delivered.update(report.delivered)
-            if report.chaos is not None:
-                for stat in dataclasses.fields(ChaosStats):
-                    setattr(
-                        result.chaos,
-                        stat.name,
-                        getattr(result.chaos, stat.name)
-                        + getattr(report.chaos, stat.name),
-                    )
-            if result.metrics is None:
-                result.metrics = report.metrics
-            else:
-                # cross-shard deliveries parked as "early" in the
-                # receiver's shard replay against the origin shard's
-                # admission records here
-                result.metrics.merge(report.metrics)
-        return result
 
     def _teardown(self) -> None:
         """Close the pipes (workers exit on EOF), then escalate."""

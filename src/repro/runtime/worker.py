@@ -15,9 +15,10 @@ control protocol over a :mod:`multiprocessing` pipe:
 * ``("start",)`` — the start barrier; the host's loop thread starts and
   runs the shard's rounds, feeders and timed conditions for
   ``wall_seconds``.
-* ``("result", WorkerReport)`` — sent back when the run completes: the
-  picklable :class:`~repro.metrics.collector.MetricsCollector` shard,
-  per-node delivery counts and the chaos statistics; or
+* ``("result", LiveScenarioReport)`` — sent back when the run
+  completes: the shard's report, built by
+  :func:`~repro.scenarios.runner.live_report` exactly as the threaded
+  driver builds its own (the parent folds the shards); or
   ``("failed", id, reason)`` when something raised inside the loop.
 
 Every worker replays the whole schedule: chaos windows mutate its own
@@ -39,11 +40,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.metrics.collector import MetricsCollector
 from repro.runtime.cluster import ThreadedCluster
-from repro.runtime.transport import ChaosStats
 
-__all__ = ["WorkerConfig", "WorkerReport", "worker_main"]
+__all__ = ["WorkerConfig", "worker_main"]
 
 PIPE_POLL = 0.2  # seconds between mid-run looks at the control pipe
 
@@ -53,44 +52,11 @@ class WorkerConfig:
     """Everything one shard worker needs, shipped over the control pipe."""
 
     worker_id: int
-    n_workers: int
     spec: Any  # a picklable ScenarioSpec
     nodes: tuple  # identities this worker owns (including future joiners)
     port_map: dict  # node id -> (host, port), every identity in the run
     gossip_period: float  # wall seconds per spec round (sets the time scale)
     wall_seconds: float  # run length after the start barrier
-
-
-@dataclass
-class WorkerReport:
-    """One shard's results, shipped back over the control pipe."""
-
-    worker_id: int
-    offers: int
-    admitted: int
-    delivered: dict  # node id -> events_delivered (this incarnation)
-    duplicates: int
-    decode_errors: int
-    send_failures: int
-    bind_errors: int
-    metrics: MetricsCollector  # the shard's collector (parent merges)
-    chaos: Optional[ChaosStats]
-
-
-def _report(cfg: WorkerConfig, cluster: ThreadedCluster) -> WorkerReport:
-    stats = {node_id: node.protocol.stats for node_id, node in cluster.nodes.items()}
-    return WorkerReport(
-        worker_id=cfg.worker_id,
-        offers=cluster.offers,
-        admitted=int(cluster.metrics.admitted.count()),
-        delivered={node_id: s.events_delivered for node_id, s in stats.items()},
-        duplicates=sum(getattr(s, "duplicates_seen", 0) for s in stats.values()),
-        decode_errors=cluster.decode_errors,
-        send_failures=cluster.send_failures,
-        bind_errors=cluster.bind_errors,
-        metrics=cluster.metrics,
-        chaos=None if cluster.chaos is None else cluster.chaos.stats,
-    )
 
 
 def _outlast(conn, cluster: ThreadedCluster, wall_seconds: float) -> bool:
@@ -135,7 +101,12 @@ def _run(conn, cfg: WorkerConfig) -> Optional[tuple]:
         cluster.stop()
     except RuntimeError as exc:
         return ("failed", cfg.worker_id, str(exc))
-    return ("result", _report(cfg, cluster)) if finished else None
+    if not finished:
+        return None
+    # lazy: the scenario runner imports the live host
+    from repro.scenarios.runner import live_report
+
+    return ("result", live_report(cfg.spec, cluster, "process", cfg.wall_seconds))
 
 
 def worker_main(conn) -> None:

@@ -56,6 +56,7 @@ from repro.sim.faults import (
 
 __all__ = [
     "LiveScenarioReport",
+    "live_report",
     "smoke_profile",
     "run_scenario",
     "run_scenario_process",
@@ -128,10 +129,11 @@ def run_scenario(
 class LiveScenarioReport:
     """What a live scenario run did, injected, and could not model.
 
-    One type for both live drivers: ``driver`` is ``"threaded"`` or
-    ``"process"``, and the process-only observability (``n_workers``,
-    cross-worker ``send_failures``/``decode_errors``, respawn
-    ``bind_errors``, ``port_attempts``) stays 0 on the threaded driver.
+    One type for both live drivers, built by :func:`live_report` from
+    the host that ran: ``driver`` is ``"threaded"`` or ``"process"``,
+    and a process run folds its shards' reports into one
+    (:meth:`~repro.runtime.process_cluster.ProcessCluster.run`). Only
+    ``n_workers`` and ``port_attempts`` stay 0 on the threaded driver.
     """
 
     scenario: str
@@ -155,12 +157,11 @@ class LiveScenarioReport:
     chaos_eaten: int = 0  # datagrams the chaos layer dropped/capped/blocked
     chaos_delayed: int = 0  # datagrams deferred through loop.call_later
     chaos_oneway_dropped: int = 0  # datagrams eaten by a one-way (directed) cut
-    # process driver only
-    n_workers: int = 0
+    n_workers: int = 0  # process driver only
     decode_errors: int = 0  # datagrams that failed BinaryCodec.decode
-    send_failures: int = 0  # sendto/address-book failures across all workers
+    send_failures: int = 0  # sends with no live route or a failed sendto
     bind_errors: int = 0  # respawn-time rebinds that never got their port back
-    port_attempts: int = 0  # seeded port maps tried before all workers bound
+    port_attempts: int = 0  # process driver only: seeded port maps tried
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "skipped_count", len(self.skipped))
@@ -244,6 +245,43 @@ def live_coverage(spec: ScenarioSpec) -> tuple[tuple[str, ...], tuple[str, ...]]
     return tuple(injected), tuple(skipped)
 
 
+def live_report(
+    spec: ScenarioSpec, cluster: ThreadedCluster, driver: str, wall_seconds: float
+) -> LiveScenarioReport:
+    """What a stopped live host did, as a :class:`LiveScenarioReport`.
+
+    The one builder of live reports: the threaded driver calls it on its
+    host, and every process worker on its shard's host (the parent folds
+    the shards). Restarted nodes report their current incarnation — a
+    fresh process's counts, exactly what a real redeploy would show.
+    """
+    stats = [node.protocol.stats for node in cluster.nodes.values()]
+    delivered = [s.events_delivered for s in stats]
+    injected, skipped = live_coverage(spec)
+    chaos = cluster.chaos
+    return LiveScenarioReport(
+        scenario=spec.name,
+        driver=driver,
+        n_nodes=spec.n_nodes,
+        wall_seconds=wall_seconds,
+        time_scale=cluster.scale,
+        offers=cluster.offers,
+        admitted=int(cluster.metrics.admitted.count()),
+        delivered_total=sum(delivered),
+        delivered_min=min(delivered),
+        delivered_max=max(delivered),
+        skipped=skipped,
+        duplicates_seen=sum(getattr(s, "duplicates_seen", 0) for s in stats),
+        injected=injected,
+        chaos_eaten=0 if chaos is None else chaos.stats.eaten,
+        chaos_delayed=0 if chaos is None else chaos.stats.delayed,
+        chaos_oneway_dropped=0 if chaos is None else chaos.stats.oneway_blocked,
+        decode_errors=cluster.decode_errors,
+        send_failures=cluster.send_failures,
+        bind_errors=cluster.bind_errors,
+    )
+
+
 def run_scenario_threaded(
     spec: ScenarioSpec,
     wall_seconds: Optional[float] = None,
@@ -258,42 +296,18 @@ def run_scenario_threaded(
     offers and fires every scheduled condition on its own event loop. A
     failure inside the loop is raised here.
     """
-    scale = ThreadedCluster.time_scale(spec, gossip_period)
-    wall = spec.duration * scale if wall_seconds is None else wall_seconds
     cluster = ThreadedCluster.from_scenario(
         spec, gossip_period=gossip_period, transport=transport
     )
+    wall = spec.duration * cluster.scale if wall_seconds is None else wall_seconds
     cluster.start()
     try:
         cluster.wait(wall)
     finally:
         cluster.stop()
 
-    # the loop is joined: protocol state is safe to read now (restarted
-    # nodes report their current incarnation — a fresh process's counts,
-    # exactly what a real redeploy would show)
-    stats = [node.protocol.stats for node in cluster.nodes.values()]
-    delivered = [s.events_delivered for s in stats]
-    injected, skipped = live_coverage(spec)
-    chaos = cluster.chaos
-    return LiveScenarioReport(
-        scenario=spec.name,
-        driver="threaded",
-        n_nodes=spec.n_nodes,
-        wall_seconds=wall,
-        time_scale=scale,
-        offers=cluster.offers,
-        admitted=int(cluster.metrics.admitted.count()),
-        delivered_total=sum(delivered),
-        delivered_min=min(delivered),
-        delivered_max=max(delivered),
-        skipped=skipped,
-        duplicates_seen=sum(getattr(s, "duplicates_seen", 0) for s in stats),
-        injected=injected,
-        chaos_eaten=0 if chaos is None else chaos.stats.eaten,
-        chaos_delayed=0 if chaos is None else chaos.stats.delayed,
-        chaos_oneway_dropped=0 if chaos is None else chaos.stats.oneway_blocked,
-    )
+    # the loop is joined: protocol state is safe to read now
+    return live_report(spec, cluster, "threaded", wall)
 
 
 # ----------------------------------------------------------------------
@@ -311,39 +325,13 @@ def run_scenario_process(
     :func:`run_scenario_threaded`, but the group is sharded across
     ``workers`` OS processes gossiping over real UDP sockets; feeders,
     chaos windows, crash/restart and churn all fire on the event loop of
-    the worker hosting the shard (see :mod:`repro.runtime.worker`). The
-    report's ``injected``/``skipped`` tuples come from
-    :func:`live_coverage`, so coverage is audited, not asserted. A
-    worker's failure is raised here.
+    the worker hosting the shard (see :mod:`repro.runtime.worker`). Each
+    worker builds its shard's :func:`live_report` and the parent folds
+    them into one. A worker's failure is raised here.
     """
     # imported lazily: the process driver pulls in multiprocessing and
     # the asyncio worker, which sim-only callers never need
     from repro.runtime.process_cluster import ProcessCluster
 
     cluster = ProcessCluster(spec, gossip_period=gossip_period, n_workers=workers)
-    result = cluster.run(wall_seconds=wall_seconds)
-    injected, skipped = live_coverage(spec)
-    delivered = sorted(result.delivered.values()) or [0]
-    return LiveScenarioReport(
-        scenario=spec.name,
-        driver="process",
-        n_nodes=spec.n_nodes,
-        n_workers=result.n_workers,
-        wall_seconds=result.wall_seconds,
-        time_scale=result.time_scale,
-        offers=result.offers,
-        admitted=result.admitted,
-        delivered_total=sum(delivered),
-        delivered_min=delivered[0],
-        delivered_max=delivered[-1],
-        skipped=skipped,
-        duplicates_seen=result.duplicates,
-        injected=injected,
-        chaos_eaten=result.chaos.eaten,
-        chaos_delayed=result.chaos.delayed,
-        chaos_oneway_dropped=result.chaos.oneway_blocked,
-        decode_errors=result.decode_errors,
-        send_failures=result.send_failures,
-        bind_errors=result.bind_errors,
-        port_attempts=result.port_attempts,
-    )
+    return cluster.run(wall_seconds=wall_seconds)

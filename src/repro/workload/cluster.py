@@ -37,7 +37,6 @@ from repro.core.aggregation import Aggregate
 from repro.core.config import AdaptiveConfig
 from repro.gossip.config import SystemConfig
 from repro.gossip.protocol import GossipMessage, NodeId
-from repro.membership.full import FullMembershipView
 from repro.membership.views import PartialViewMembership, ViewConfig
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import RoundDispatcher, Simulator
@@ -236,6 +235,8 @@ class SimCluster(Driver):
             aggregate=aggregate,
             bucket_width=bucket_width,
             aggregate_metrics=aggregate_metrics,
+            membership=membership,
+            view_config=view_config,
         )
         if dispatch not in ("batched", "timers", "vector"):
             raise ValueError(f"unknown dispatch mode {dispatch!r}")
@@ -246,8 +247,6 @@ class SimCluster(Driver):
         self.rounds = (
             RoundDispatcher(self.sim) if dispatch in ("batched", "vector") else None
         )
-        self.membership_kind = membership
-        self.view_config = view_config
         self.nodes: dict[NodeId, ClusterNode] = {}
         self.senders: dict[NodeId, Sender] = {}
         self._sample_gauges = sample_gauges
@@ -304,24 +303,13 @@ class SimCluster(Driver):
 
         return build_cluster(spec_for_scenario(spec, dispatch=dispatch, **overrides))
 
-    def _make_membership(self, node_id: NodeId):
-        if self.membership_kind == "full":
-            return FullMembershipView(self.directory, node_id)
-        if self.membership_kind == "partial":
-            rng = self.sim.rngs.stream("bootstrap_view", node_id)
-            others = [n for n in self.directory.alive() if n != node_id]
-            cfg = self.view_config or ViewConfig()
-            bootstrap = rng.sample(others, min(len(others), cfg.view_size))
-            return PartialViewMembership(node_id, cfg, initial_view=bootstrap)
-        raise ValueError(f"unknown membership kind {self.membership_kind!r}")
-
     def _spawn_node(self, node_id: NodeId) -> ClusterNode:
         if node_id in self.nodes:
             raise ValueError(f"node {node_id!r} already exists")
         self.directory.join(node_id)
         protocol = self._build_protocol(
             node_id,
-            self._make_membership(node_id),
+            self._make_membership(node_id, self.sim.rngs),
             self.sim.rngs.stream("protocol", node_id),
             self.sim.now,
         )

@@ -11,8 +11,11 @@ Three properties the process driver must hold beyond scenario parity:
 * **Orphan safety** — a worker whose parent disappears (pipe EOF)
   exits on its own, before or during a run; no leaked processes or
   sockets survive the suite.
+
+The shard fold is checked on hand-built reports, without a process.
 """
 
+import dataclasses
 import multiprocessing
 import socket
 import threading
@@ -21,14 +24,20 @@ import time
 import pytest
 
 from repro.gossip.lpbcast import LpbcastProtocol
+from repro.membership.churn import ChurnScript
 from repro.runtime.process_cluster import (
     ProcessCluster,
+    fold_reports,
     scenario_identities,
     seeded_port_map,
 )
 from repro.runtime.worker import WorkerConfig, worker_main
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.runner import run_scenario_process, smoke_profile
+from repro.scenarios.runner import (
+    LiveScenarioReport,
+    run_scenario_process,
+    smoke_profile,
+)
 
 
 # ----------------------------------------------------------------------
@@ -93,6 +102,62 @@ def test_shards_partition_every_identity_exactly_once():
     assert max(len(s) for s in shards) - min(len(s) for s in shards) <= 1
 
 
+def test_every_shard_hosts_an_initial_member():
+    # the fold's delivered min/max is exact only if no shard is joiners only
+    spec = get_scenario("rolling-churn", smoke_profile())
+    # rolling-churn rejoins old members; add fresh joiners past the range
+    joiners = ChurnScript(list(spec.churn.sorted_events()))
+    for node in range(spec.n_nodes, 3 * spec.n_nodes):
+        joiners.join(spec.duration / 2, node)
+    grown = dataclasses.replace(spec, churn=joiners)
+    for case in (spec, grown):
+        for n_workers in (2, 3, 4):
+            cluster = ProcessCluster(case, n_workers=n_workers)
+            for shard in cluster.shards(scenario_identities(case)):
+                assert any(0 <= node < case.n_nodes for node in shard), shard
+
+
+# ----------------------------------------------------------------------
+# the shard fold
+# ----------------------------------------------------------------------
+def _shard_report(**counts):
+    base = dict(
+        scenario="s",
+        driver="process",
+        n_nodes=4,
+        wall_seconds=3.0,
+        time_scale=0.1,
+        skipped=("1 unrecognised fault window(s): no live lowering",),
+        injected=("2 loss window(s): chaos rules at every send",),
+    )
+    return LiveScenarioReport(**base, **counts)
+
+
+def test_fold_adds_counts_and_spans_delivered_bounds():
+    a = _shard_report(
+        offers=10, admitted=6, delivered_total=20, delivered_min=9, delivered_max=11,
+        duplicates_seen=3, chaos_eaten=1, chaos_delayed=2, chaos_oneway_dropped=0,
+        decode_errors=0, send_failures=4, bind_errors=1,
+    )
+    b = _shard_report(
+        offers=5, admitted=4, delivered_total=17, delivered_min=7, delivered_max=10,
+        duplicates_seen=2, chaos_eaten=5, chaos_delayed=0, chaos_oneway_dropped=3,
+        decode_errors=1, send_failures=0, bind_errors=0,
+    )
+    folded = fold_reports([a, b], n_workers=2, port_attempts=3)
+    assert (folded.offers, folded.admitted, folded.delivered_total) == (15, 10, 37)
+    assert (folded.delivered_min, folded.delivered_max) == (7, 11)
+    assert folded.duplicates_seen == 5
+    assert (folded.chaos_eaten, folded.chaos_delayed, folded.chaos_oneway_dropped) == (6, 2, 3)
+    assert (folded.decode_errors, folded.send_failures, folded.bind_errors) == (1, 4, 1)
+    assert (folded.n_workers, folded.port_attempts) == (2, 3)
+    # the run's identity and coverage come through once, not per shard
+    assert (folded.scenario, folded.driver, folded.n_nodes) == ("s", "process", 4)
+    assert (folded.wall_seconds, folded.time_scale) == (3.0, 0.1)
+    assert folded.injected == a.injected and folded.injected_count == 1
+    assert folded.skipped == a.skipped and folded.skipped_count == 1
+
+
 # ----------------------------------------------------------------------
 # end to end, briefly
 # ----------------------------------------------------------------------
@@ -118,7 +183,6 @@ def _configured_worker(horizon=30.0):
     port_map = seeded_port_map(identities, spec.seed)
     cfg = WorkerConfig(
         worker_id=0,
-        n_workers=1,
         spec=spec,
         nodes=tuple(identities),
         port_map=port_map,
@@ -162,7 +226,6 @@ def test_worker_reports_a_lost_bind_race():
         holder.bind(port_map[identities[0]])  # steal a port post-probe
         cfg = WorkerConfig(
             worker_id=0,
-            n_workers=1,
             spec=spec,
             nodes=tuple(identities),
             port_map=port_map,
@@ -237,7 +300,6 @@ def test_a_worker_failure_reaches_the_parent(monkeypatch):
     identities = scenario_identities(spec)
     cfg = WorkerConfig(
         worker_id=0,
-        n_workers=1,
         spec=spec,
         nodes=tuple(identities),
         port_map=seeded_port_map(identities, spec.seed),

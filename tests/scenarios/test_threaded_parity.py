@@ -75,3 +75,12 @@ def test_churn_scenario_runs_threaded_with_zero_skips():
     assert any("churn event" in item for item in report.injected)
     assert any("partial membership" in item for item in report.injected)
     assert report.delivered_total > 0
+
+
+def test_threaded_report_carries_the_hosts_send_failures():
+    # rolling-churn sends to members that have left; the threaded report
+    # reads the host's counter, the same one every process shard reports
+    spec = get_scenario("rolling-churn", smoke_profile())
+    report = run_scenario_threaded(spec)
+    assert report.send_failures > 0
+    assert report.decode_errors == 0
