@@ -21,7 +21,7 @@ implement the execution substrate (:meth:`Driver.run_for`).
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.core.aggregation import Aggregate
 from repro.core.config import AdaptiveConfig
@@ -158,10 +158,6 @@ class Driver(abc.ABC):
     aggregate_metrics:
         Run the collector in aggregate-only mode (per-event counts, no
         per-node receiver sets or gauges) — for very large groups.
-    members:
-        The initial members' ids when they are not ``0 .. n_nodes - 1``
-        (a standalone live node names itself and its peers); ``n_nodes``
-        is then ignored.
     membership:
         ``"full"`` (every node views the shared directory) or
         ``"partial"`` (per-node lpbcast views, see :meth:`_make_membership`).
@@ -179,23 +175,20 @@ class Driver(abc.ABC):
         aggregate: Optional[Aggregate] = None,
         bucket_width: Optional[float] = None,
         aggregate_metrics: bool = False,
-        members: Optional[Iterable[Any]] = None,
         membership: str = "full",
         view_config: Optional[ViewConfig] = None,
     ) -> None:
         if membership not in ("full", "partial"):
             raise ValueError(f"unknown membership kind {membership!r}")
-        if members is None:
-            if n_nodes < 2:
-                raise ValueError("need at least 2 nodes")
-            members = range(n_nodes)
+        if n_nodes < 2:
+            raise ValueError("need at least 2 nodes")
         self.system = system if system is not None else self._default_system()
         if bucket_width is None:
             bucket_width = self._default_bucket_width()
         self.metrics = MetricsCollector(
             bucket_width=bucket_width, aggregate=aggregate_metrics
         )
-        self.directory = Directory(members)
+        self.directory = Directory(range(n_nodes))
         if callable(protocol):
             self._factory: ProtocolFactory = protocol
         else:

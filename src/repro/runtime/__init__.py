@@ -17,8 +17,10 @@ the simulator, driven in wall-clock time over a real hop.
   coordinated over control pipes; each worker reports its shard as a
   :class:`~repro.scenarios.runner.LiveScenarioReport` and the parent
   folds them.
-* :mod:`repro.runtime.standalone` — one node per OS process, the
-  paper's deployment shape in miniature.
+* :mod:`repro.runtime.standalone` — the same shard host without the
+  pipe: one process per shard of any scenario (down to one node per OS
+  process), addressed through a shared port-map file, the paper's
+  deployment shape in miniature.
 """
 
 from repro.runtime.codec import BinaryCodec, CodecError

@@ -17,8 +17,8 @@ The hop between nodes is an in-memory dict for ``transport="memory"``
 (a send is ``loop.call_soon(dest.on_datagram, data)``, still encoded
 and decoded by the wire codec) and real non-blocking UDP sockets for
 ``transport="udp"``. ``hosted`` and ``port_map`` let one cluster host a
-single shard of a group spread over processes
-(:mod:`repro.runtime.worker`) or a single standalone node
+single shard of a group spread over processes — a process-driver worker
+(:mod:`repro.runtime.worker`) or a standalone shard host
 (:mod:`repro.runtime.standalone`): the directory spans the whole group,
 protocols exist only for hosted identities, and every identity's
 address comes from the port map.
@@ -309,9 +309,6 @@ class ThreadedCluster(Driver):
         identity the run can name. Hosted nodes bind their entry at
         construction (an ``OSError`` means the port is taken); without
         a map, each hosted node binds an ephemeral localhost port.
-    members:
-        Initial member ids other than ``0 .. n_nodes - 1`` (see
-        :class:`~repro.driver.Driver`).
     """
 
     def __init__(
@@ -329,7 +326,6 @@ class ThreadedCluster(Driver):
         chaos: Optional[ChaosRules] = None,
         hosted: Optional[Iterable[Any]] = None,
         port_map: Optional[dict] = None,
-        members: Optional[Iterable[Any]] = None,
     ) -> None:
         if transport not in ("memory", "udp"):
             raise ValueError(f"unknown transport {transport!r}")
@@ -342,7 +338,6 @@ class ThreadedCluster(Driver):
             adaptive=adaptive,
             rate_limit=rate_limit,
             aggregate=aggregate,
-            members=members,
             membership=membership,
             view_config=None if view_size is None else ViewConfig(view_size=view_size),
         )

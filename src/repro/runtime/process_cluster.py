@@ -93,7 +93,6 @@ def seeded_port_map(
     host: str = "127.0.0.1",
     attempt: int = 0,
     probe: bool = True,
-    port_range: tuple[int, int] = PORT_RANGE,
 ) -> dict:
     """Deterministically assign every identity a ``(host, port)`` address.
 
@@ -106,9 +105,9 @@ def seeded_port_map(
     stream, so a parent that lost a probe-to-bind race can re-derive a
     completely fresh map rather than replaying the contested one.
     """
-    lo, hi = port_range
+    lo, hi = PORT_RANGE
     if hi - lo < len(node_ids):
-        raise ValueError(f"port range {port_range} too small for {len(node_ids)} nodes")
+        raise ValueError(f"port range {PORT_RANGE} too small for {len(node_ids)} nodes")
     rng = Random(derive_seed(seed, "portmap", attempt))
     assigned: dict = {}
     used: set[int] = set()
@@ -124,7 +123,7 @@ def seeded_port_map(
             break
         else:
             raise RuntimeError(
-                f"no free UDP port found for node {node!r} in {port_range}"
+                f"no free UDP port found for node {node!r} in {PORT_RANGE}"
             )
     return assigned
 
@@ -195,10 +194,6 @@ class ProcessCluster:
         Worker process count (default :func:`default_worker_count`).
     host:
         Bind address for every node socket (default localhost).
-    mp_context:
-        :mod:`multiprocessing` start method; ``spawn`` (default) keeps
-        the workers genuinely shared-nothing and fork-safe under any
-        parent.
     """
 
     START_TIMEOUT = 60.0  # configure->ready, covers a spawn+import storm
@@ -211,7 +206,6 @@ class ProcessCluster:
         gossip_period: float = 0.1,
         n_workers: Optional[int] = None,
         host: str = "127.0.0.1",
-        mp_context: str = "spawn",
     ) -> None:
         if gossip_period <= 0:
             raise ValueError("gossip_period must be > 0")
@@ -224,7 +218,7 @@ class ProcessCluster:
             else max(1, min(n_workers, spec.n_nodes))
         )
         self.host = host
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context("spawn")
         self._procs: list = []
         self._conns: list = []
 

@@ -2,9 +2,10 @@
 
 pytest's ``pythonpath`` config (pyproject.toml) puts ``src`` on the
 in-process ``sys.path``, but tests that spawn ``sys.executable -m
-repro...`` subprocesses (the standalone runtime) need the path in the
-environment too. Exporting it here makes a bare ``python -m pytest``
-work without installing the package or setting PYTHONPATH by hand.
+repro...`` subprocesses (standalone shard hosts and the workers that
+``--launch`` spawns) need the path in the environment too. Exporting
+it here makes a bare ``python -m pytest`` work without installing the
+package or setting PYTHONPATH by hand.
 """
 
 import os
