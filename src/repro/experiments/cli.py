@@ -243,6 +243,11 @@ def _run_list_scenarios(profile, args):
 _LIVE_DRIVER = {"threaded": "threaded", "process": "process", "both": "threaded"}
 
 
+_SCENARIO_COLUMNS = [
+    "scenario", "in (msg/s)", "out (msg/s)", "avg recv (%)", "atomicity (%)", "drop age",
+]
+
+
 def _scenario_result_rows(results):
     return [
         (
@@ -275,8 +280,7 @@ def _run_run_scenario(profile, args):
         )
         chunks.append(
             render_table(
-                ["scenario", "in (msg/s)", "out (msg/s)", "avg recv (%)",
-                 "atomicity (%)", "drop age"],
+                _SCENARIO_COLUMNS,
                 _scenario_result_rows(results),
                 title=f"Scenario matrix — sim driver ({profile.name}, "
                 f"{args.dispatch} dispatch)",
@@ -321,13 +325,20 @@ def _run_run_scenario(profile, args):
             run_scenario(name, driver=live, profile=profile, horizon=args.horizon)
             for name in names
         ]
-        lines = [f"Scenario runs — {live} driver ({profile.name})"]
+        lines = [
+            render_table(
+                _SCENARIO_COLUMNS,
+                _scenario_result_rows([report.result for report in reports]),
+                title=f"Scenario runs — {live} driver ({profile.name})",
+                digits=2,
+            )
+        ]
         for report in reports:
             workers = f"{report.n_workers} workers, " if report.n_workers else ""
             lines.append(
                 f"  {report.scenario}: {report.wall_seconds:.1f}s wall, {workers}"
-                f"offers={report.offers} admitted={report.admitted} "
-                f"delivered/node={report.delivered_min}..{report.delivered_max} "
+                f"send_failures={report.send_failures} "
+                f"decode_errors={report.decode_errors} "
                 f"injected={report.injected_count} skipped={report.skipped_count}"
             )
             for item in report.injected:
@@ -401,7 +412,7 @@ def _run_check_scenarios(profile, args) -> tuple[str, dict, int]:
             # run-scenario's live path
             spec = get_scenario(name, profile)
             report = run_scenario(spec, driver=live, horizon=args.horizon)
-            result = ScenarioResult.from_live(report, profile=profile.name)
+            result = ScenarioResult.from_run(report.result, profile.name, report.driver)
             checks = (
                 ()
                 if args.update_baselines

@@ -3,9 +3,12 @@
 A :class:`RunSpec` fully describes one simulation run (protocol variant,
 buffer size, offered load, horizon); :func:`run_once` executes it and
 distils a :class:`RunResult` with every quantity the paper's figures
-plot. Sweeps are then just comprehensions over specs — serial, or fanned
-across cores by :func:`repro.experiments.sweep.run_specs` — and
-benchmarks print rows straight from results.
+plot. The distilling is :func:`summarise`, over a stopped run's
+collector and the spec's window; the live drivers summarise their runs
+through it too. Sweeps are then just comprehensions over specs —
+serial, or fanned across cores by
+:func:`repro.experiments.sweep.run_specs` — and benchmarks print rows
+straight from results.
 
 Specs and results are plain picklable dataclasses: that is what lets the
 sweep runner ship them across process boundaries, and
@@ -24,12 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Optional, Sequence
 
 from repro.core.config import AdaptiveConfig
+from repro.driver import size_at
 from repro.experiments.profiles import Profile
 from repro.gossip.config import SystemConfig
 from repro.membership.views import ViewConfig
+from repro.metrics.collector import MetricsCollector
 from repro.metrics.delivery import DeliveryStats, analyze_delivery
 from repro.scenarios.spec import ScenarioSpec, SenderSpec, build_latency
 from repro.sim.faults import CrashWindow
@@ -41,6 +47,7 @@ __all__ = [
     "RunSpec",
     "RunResult",
     "run_once",
+    "summarise",
     "spec_for_profile",
     "spec_for_scenario",
     "build_cluster",
@@ -296,9 +303,29 @@ def run_once(spec: RunSpec) -> RunResult:
     """Execute a spec and summarise its steady-state window."""
     cluster = build_cluster(spec)
     cluster.run(until=spec.duration)
+    stats = [node.protocol.stats for node in cluster.nodes.values()]
+    duplicates = sum(getattr(s, "duplicates_seen", 0) for s in stats)
+    delivered = sum(getattr(s, "events_delivered", 0) for s in stats)
+    return summarise(
+        spec, cluster.metrics, cluster.size_log, duplicates, delivered, cluster.network.stats
+    )
 
+
+def summarise(
+    spec: RunSpec,
+    metrics: MetricsCollector,
+    size_log: Sequence[tuple[float, int]],
+    duplicates_seen: int,
+    delivered: int,
+    net: Any = None,
+) -> RunResult:
+    """Summarise a stopped run over ``spec``'s window, whatever ran it:
+    its collector, its driver's ``size_log``, every node's duplicate
+    summaries and unique deliveries, and the sim network's fault
+    counters (``None`` off the simulator: they read 0)."""
     since, until = spec.window
-    m = cluster.metrics
+    m = metrics
+    group_size = size_log[-1][1]
     # Under churn/crash schedules the group size moves mid-window; judge
     # each message against the group it was broadcast into, not the
     # end-of-run directory (see analyze_delivery's size_at). Loss/
@@ -311,15 +338,12 @@ def run_once(spec: RunSpec) -> RunResult:
     window_messages = m.messages_in_window(since, until)
     delivery = analyze_delivery(
         window_messages,
-        cluster.group_size,
-        size_at=cluster.group_size_at if moving_membership else None,
+        group_size,
+        size_at=partial(size_at, size_log) if moving_membership else None,
     )
     # a sender "reached the group" if any of its window messages was
     # delivered beyond the sender itself (NoDroppedSenders expectations)
     reached = {r.origin for r in window_messages if r.receiver_count >= 2}
-    stats = [node.protocol.stats for node in cluster.nodes.values()]
-    duplicates_seen = sum(getattr(s, "duplicates_seen", 0) for s in stats)
-    protocol_delivered = sum(getattr(s, "events_delivered", 0) for s in stats)
     window_len = until - since
     senders = list(spec.sender_ids)
     allowed_each = m.gauge_mean_over("allowed_rate", senders, since, until)
@@ -328,7 +352,7 @@ def run_once(spec: RunSpec) -> RunResult:
         delivery=delivery,
         offered_rate=m.offered.rate(since, until),
         input_rate=m.admitted.rate(since, until),
-        output_rate=m.deliveries.count(since, until) / (cluster.group_size * window_len),
+        output_rate=m.deliveries.count(since, until) / (group_size * window_len),
         drop_age_mean=m.mean_drop_age(since, until),
         allowed_rate_total=(
             allowed_each * len(senders) if not math.isnan(allowed_each) else math.nan
@@ -339,12 +363,10 @@ def run_once(spec: RunSpec) -> RunResult:
         drops_age_out=m.drops_age_out.count(since, until),
         senders_total=len(senders),
         senders_reached=sum(1 for node in senders if node in reached),
-        gossip_redundancy=(
-            duplicates_seen / protocol_delivered if protocol_delivered else math.nan
-        ),
-        net_lost=cluster.network.stats.lost,
-        net_partitioned=cluster.network.stats.partitioned,
-        net_oneway_blocked=cluster.network.stats.oneway_blocked,
-        net_link_lost=cluster.network.stats.link_lost,
-        net_capped=cluster.network.stats.capped,
+        gossip_redundancy=duplicates_seen / delivered if delivered else math.nan,
+        net_lost=0 if net is None else net.lost,
+        net_partitioned=0 if net is None else net.partitioned,
+        net_oneway_blocked=0 if net is None else net.oneway_blocked,
+        net_link_lost=0 if net is None else net.link_lost,
+        net_capped=0 if net is None else net.capped,
     )

@@ -38,7 +38,6 @@ __all__ = [
     "run_spec_checks",
     "merged_metrics",
     "to_jsonable",
-    "results_to_jsonable",
 ]
 
 
@@ -111,7 +110,7 @@ def _check_one(job: _CheckJob):
 
     spec = job.spec
     run = run_once(spec_for_scenario(spec, dispatch=job.dispatch, horizon=job.horizon))
-    result = ScenarioResult.from_sim(run, profile=job.profile_name)
+    result = ScenarioResult.from_run(run, profile=job.profile_name)
     if not job.evaluate:
         return ScenarioCheck(scenario=spec.name, result=result)
     companion = None
@@ -121,7 +120,7 @@ def _check_one(job: _CheckJob):
         static_run = run_once(
             spec_for_scenario(static_spec, dispatch=job.dispatch, horizon=job.horizon)
         )
-        companion = ScenarioResult.from_sim(static_run, profile=job.profile_name)
+        companion = ScenarioResult.from_run(static_run, profile=job.profile_name)
     return ScenarioCheck(
         scenario=spec.name,
         result=result,
@@ -247,7 +246,3 @@ def to_jsonable(value: Any) -> Any:
         return value
     return repr(value)
 
-
-def results_to_jsonable(results: Sequence[RunResult]) -> list[dict]:
-    """A result list as strict-JSON-safe dicts, in order."""
-    return [to_jsonable(r) for r in results]

@@ -69,7 +69,7 @@ def analyze_delivery(
     Under churn the right denominator moves: a message broadcast while a
     quarter of the group is crashed can only ever reach the survivors.
     Pass ``size_at(broadcast_time) -> int`` (e.g.
-    :meth:`~repro.workload.cluster.SimCluster.group_size_at`) to judge
+    :meth:`~repro.driver.Driver.group_size_at`) to judge
     each message against the group it was actually broadcast into;
     ``group_size`` then only reports the nominal size in the summary.
     """

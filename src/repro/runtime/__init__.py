@@ -15,8 +15,9 @@ the simulator, driven in wall-clock time over a real hop.
 * :mod:`repro.runtime.process_cluster` / :mod:`repro.runtime.worker` —
   the shared-nothing multi-process driver: one host per worker process,
   coordinated over control pipes; each worker reports its shard as a
-  :class:`~repro.scenarios.runner.LiveScenarioReport` and the parent
-  folds them.
+  :class:`~repro.scenarios.runner.LiveScenarioReport` with its
+  collector, and the parent folds the reports and summarises the
+  merged collectors.
 * :mod:`repro.runtime.standalone` — the same shard host without the
   pipe: one process per shard of any scenario (down to one node per OS
   process), addressed through a shared port-map file, the paper's

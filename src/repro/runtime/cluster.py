@@ -3,10 +3,11 @@
 :class:`ThreadedCluster` runs a gossip group — or one shard of it — in
 real time, the in-process equivalent of the paper's 60-workstation
 deployment. Each member is a :class:`LiveNode`: a round task fires
-``on_round_batch`` every jittered gossip period, received datagrams are
-folded into batched ``on_receive_batch`` calls, and application offers
-queue through the protocol's admission control, retried at every
-wake-up. Every node of the host shares one event loop, which the
+``on_round_batch`` and samples the node's gauges every jittered gossip
+period, received datagrams are folded into batched ``on_receive_batch``
+calls, and application offers wait in the sim sender's
+:class:`~repro.driver.OfferQueue`, drained at every wake-up. Every node
+of the host shares one event loop, which the
 cluster runs on one background thread it owns; protocols, the metrics
 collector and the chaos decisions are only ever touched from that
 thread, so the hot path takes no lock. Calls from other threads
@@ -61,7 +62,7 @@ from typing import Any, Iterable, Optional
 
 from repro.core.aggregation import Aggregate
 from repro.core.config import AdaptiveConfig
-from repro.driver import Driver
+from repro.driver import Driver, OfferQueue, sample_gauges
 from repro.gossip.config import SystemConfig
 from repro.membership.views import ViewConfig
 from repro.runtime.codec import BinaryCodec
@@ -90,11 +91,11 @@ class LiveNode:
         self.protocol = protocol
         self.sock = sock
         self.alive = True
-        self.offers_admitted = 0
+        limit = host.queue_limits.get(node_id, 100)
+        self.queue = OfferQueue(node_id, protocol, host.metrics, limit)
         self.chaos_rng = Random(derive_seed(host.seed, "chaos", node_id))
         self._inbox: list[bytes] = []
         self._flush_scheduled = False
-        self._pending: list[Any] = []
         self._round_task: Optional[asyncio.Task] = None
 
     def is_alive(self) -> bool:
@@ -125,7 +126,6 @@ class LiveNode:
         if self.sock is not None:
             self.sock.close()
         self._inbox.clear()
-        self._pending.clear()
 
     def _fail(self, callback: str, exc: Exception) -> None:
         self.host._fail(f"node {self.node_id!r}: {callback}", exc)
@@ -135,22 +135,12 @@ class LiveNode:
     # application offers
     # ------------------------------------------------------------------
     def offer(self, payload: Any = None) -> None:
+        """Queue an offer; what admission refuses waits for a wake-up."""
         if self.alive:
-            self._pending.append(payload)
-            self._retry_offers(self.host.clock())
-
-    def _retry_offers(self, now: float) -> None:
-        pending = self._pending
-        try:
-            while pending:
-                event_id = self.protocol.try_broadcast(pending[0], now)
-                if event_id is None:
-                    return  # admission said not yet; retried next wake-up
-                pending.pop(0)
-                self.offers_admitted += 1
-                self.host.metrics.on_admitted(self.node_id, event_id, now)
-        except Exception as exc:
-            self._fail("try_broadcast", exc)
+            try:
+                self.queue.offer(payload, self.host.clock())
+            except Exception as exc:
+                self._fail("try_broadcast", exc)
 
     # ------------------------------------------------------------------
     # receive path
@@ -214,9 +204,15 @@ class LiveNode:
         if phase is None:
             phase = rng.uniform(0, period)
         next_round = clock() + phase
+        queue, metrics = self.queue, host.metrics
         while self.alive:
             now = clock()
-            self._retry_offers(now)
+            if queue:
+                try:
+                    queue.drain(now)
+                except Exception as exc:
+                    self._fail("try_broadcast", exc)
+                    return
             if now < next_round:
                 await asyncio.sleep(min((next_round - now) * scale, POLL_CAP))
                 continue
@@ -228,10 +224,11 @@ class LiveNode:
             for dests, message in batch:
                 for dest in dests:
                     self._send(dest, message)
+            sample_gauges(metrics, self.node_id, self.protocol, now)
             p = period
             if jitter:
                 p *= rng.uniform(1 - jitter, 1 + jitter)
-            next_round = now + p
+            next_round += p  # on the spec grid, as the sim: lag never accumulates
 
     # ------------------------------------------------------------------
     # send path: the chaos decision sits exactly here, at the send
@@ -300,6 +297,10 @@ class ThreadedCluster(Driver):
         send with a per-node stream seeded from ``seed``; the rule set
         may be mutated mid-run (fault windows, partitions) from any
         thread. Its bandwidth-cap windows tick on :meth:`clock`.
+    bucket_width:
+        Metrics bucket width in spec seconds.
+    queue_limits:
+        Node id -> its :class:`~repro.driver.OfferQueue` bound (default 100).
     hosted:
         The identities this cluster runs (default: every identity, now
         or later). The others are remote: in the directory, reached
@@ -326,6 +327,8 @@ class ThreadedCluster(Driver):
         chaos: Optional[ChaosRules] = None,
         hosted: Optional[Iterable[Any]] = None,
         port_map: Optional[dict] = None,
+        bucket_width: float = 1.0,
+        queue_limits: Optional[dict] = None,
     ) -> None:
         if transport not in ("memory", "udp"):
             raise ValueError(f"unknown transport {transport!r}")
@@ -338,15 +341,18 @@ class ThreadedCluster(Driver):
             adaptive=adaptive,
             rate_limit=rate_limit,
             aggregate=aggregate,
+            bucket_width=bucket_width,
             membership=membership,
             view_config=None if view_size is None else ViewConfig(view_size=view_size),
         )
         self.codec = BinaryCodec()
         self.seed = seed
         self.chaos = chaos
+        self.queue_limits = dict(queue_limits or {})
         self._rngs = RngRegistry(seed)
         self._memory = transport == "memory"
-        self._hosted = None if hosted is None else frozenset(hosted)
+        # None: every identity, now or later (the whole group runs here)
+        self.hosted = None if hosted is None else frozenset(hosted)
         # node id -> the hop's route: the LiveNode itself on the memory
         # hop, a (host, port) address on UDP
         self._routes: dict[Any, Any] = {
@@ -371,6 +377,7 @@ class ThreadedCluster(Driver):
         self._stopped = False
         self.failure: Optional[RuntimeError] = None
         self._failed = threading.Event()
+        self._log_size()
         try:
             for node_id in self.directory.alive():
                 if self.hosts(node_id):
@@ -384,7 +391,7 @@ class ThreadedCluster(Driver):
     # ------------------------------------------------------------------
     def hosts(self, node_id: Any) -> bool:
         """Whether ``node_id`` runs here (rather than in another shard)."""
-        return self._hosted is None or node_id in self._hosted
+        return self.hosted is None or node_id in self.hosted
 
     def _spawn(self, node_id: Any) -> LiveNode:
         """Build (and, if running, start) a fresh incarnation of a node."""
@@ -461,6 +468,8 @@ class ThreadedCluster(Driver):
             membership=spec.membership,
             view_size=spec.view_size,
             chaos=chaos,
+            bucket_width=spec.bucket_width,
+            queue_limits={sender.node: sender.queue_limit for sender in spec.senders},
             **overrides,
         )
         cluster.scale = cls.time_scale(spec, gossip_period)
@@ -491,20 +500,20 @@ class ThreadedCluster(Driver):
         # real runs want short rounds so experiments finish fast
         return SystemConfig(gossip_period=0.1)
 
-    def _default_bucket_width(self) -> float:
-        return max(0.1, self.system.gossip_period)
-
     def clock(self) -> float:
         """Run-relative spec clock: 0 until :meth:`start`, then the spec
-        seconds since (wall seconds divided by the time scale)."""
+        seconds since its start instant (wall seconds divided by the time
+        scale)."""
         t0 = self._t0
         return 0.0 if t0 is None else (time.monotonic() - t0) / self.scale
 
     # ------------------------------------------------------------------
     # the loop thread
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Start the loop thread: rounds, feeders and timed conditions."""
+    def start(self, at: Optional[float] = None) -> None:
+        """Start the loop thread: rounds, feeders and timed conditions,
+        from spec time 0 at the :func:`time.monotonic` instant ``at``
+        (default: now; the shards of one process run share one)."""
         if self._stopped:
             raise RuntimeError(
                 "this cluster has been stopped; its sockets and loop cannot "
@@ -515,8 +524,8 @@ class ThreadedCluster(Driver):
         loop = asyncio.new_event_loop()
         loop.set_exception_handler(self._on_loop_error)
         self._loop = loop
-        self._t0 = time.monotonic()
-        loop.call_soon(self._begin)
+        self._t0 = time.monotonic() if at is None else at
+        loop.call_at(self._t0, self._begin)  # the loop's clock is time.monotonic
         self._thread = threading.Thread(target=self._serve, name="live-host", daemon=True)
         self._thread.start()
 
@@ -679,6 +688,7 @@ class ThreadedCluster(Driver):
         if not self.directory.is_alive(node_id):
             return
         self.directory.leave(node_id)
+        self._log_size()
         node = self.nodes.get(node_id)
         if node is not None:
             node.stop()
@@ -699,6 +709,7 @@ class ThreadedCluster(Driver):
         if not self.directory.is_alive(node_id):
             return
         self.directory.leave(node_id)
+        self._log_size()
         node = self.nodes.get(node_id)
         if node is None or not node.alive:
             return
@@ -734,6 +745,7 @@ class ThreadedCluster(Driver):
         ):
             return old  # already a live member
         self.directory.join(node_id)
+        self._log_size()
         if not self.hosts(node_id):
             return None
         if old is not None:

@@ -16,15 +16,18 @@ runs, its nodes on one event loop over real UDP sockets
    pipe, and waits for every ``ready``; a ``bind_failed`` (a port taken
    between probe and bind) tears everything down and retries with a
    fresh map under the next attempt salt;
-3. releases the **start barrier** and waits out the run, the spec's
-   duration at ``gossip_period`` wall seconds per spec round;
+3. releases the **start barrier**, one :func:`time.monotonic` instant
+   every worker's spec clock starts from (so the shards' rounds sit on
+   one grid), and waits out the run, the spec's duration at
+   ``gossip_period`` wall seconds per spec round;
 4. collects one :class:`~repro.scenarios.runner.LiveScenarioReport`
    per worker — its shard's report, built by the same
    :func:`~repro.scenarios.runner.live_report` as the threaded
-   driver's — or raises the first worker's ``("failed", id, reason)``;
-   folds the shards into one report (:func:`fold_reports`), and tears
-   the workers down, escalating join → terminate → kill so no process
-   ever outlives the run.
+   driver's — and its collector, or raises the first worker's
+   ``("failed", id, reason)``; folds the shards into one report
+   (:func:`fold_reports`) whose ``result`` summarises the merged
+   collectors, and tears the workers down, escalating join → terminate
+   → kill so no process ever outlives the run.
 
 Scenario lowering itself (chaos windows, churn, crash/restart, feeder
 pacing) happens *inside* the workers: each host carries the full
@@ -145,8 +148,8 @@ def scenario_identities(spec) -> list:
     return sorted(identities)
 
 
-#: the report counts that add up across shards; the delivered min/max
-#: span the shards, and every other field is the same on each
+#: the report counts that add up across shards; the delivered minimum
+#: spans the shards, and every other field is the same on each
 _SUMMED = (
     "offers",
     "admitted",
@@ -164,7 +167,7 @@ _SUMMED = (
 def fold_reports(reports: Sequence, n_workers: int, port_attempts: int):
     """Fold the shards' live reports into the whole run's report.
 
-    Counts add up; the per-node delivered min and max are taken over the
+    Counts add up; the per-node delivered minimum is taken over the
     shards, which is exact because every shard hosts at least one
     initial member (:meth:`ProcessCluster.shards`).
     """
@@ -172,7 +175,6 @@ def fold_reports(reports: Sequence, n_workers: int, port_attempts: int):
         reports[0],
         **{name: sum(getattr(r, name) for r in reports) for name in _SUMMED},
         delivered_min=min(r.delivered_min for r in reports),
-        delivered_max=max(r.delivered_max for r in reports),
         n_workers=n_workers,
         port_attempts=port_attempts,
     )
@@ -199,6 +201,7 @@ class ProcessCluster:
     START_TIMEOUT = 60.0  # configure->ready, covers a spawn+import storm
     RESULT_GRACE = 20.0  # extra wall seconds before a worker is a straggler
     BIND_ATTEMPTS = 3  # fresh port maps tried on probe-to-bind races
+    START_LEAD = 0.02  # wall seconds from the barrier's send to spec time 0
 
     def __init__(
         self,
@@ -221,6 +224,7 @@ class ProcessCluster:
         self._ctx = multiprocessing.get_context("spawn")
         self._procs: list = []
         self._conns: list = []
+        self.metrics = None  # the last run's merged collector
 
     # ------------------------------------------------------------------
     # sharding
@@ -264,11 +268,30 @@ class ProcessCluster:
                     f"workers failed to start after {self.BIND_ATTEMPTS} "
                     f"port-map attempts: {last_failure}"
                 )
+            at = time.monotonic() + self.START_LEAD
             for conn in self._conns:
-                conn.send(("start",))
-            return fold_reports(self._collect(wall), self.n_workers, attempt + 1)
+                conn.send(("start", at))
+            shards = self._collect(wall)
         finally:
             self._teardown()
+        report = fold_reports([r for r, _, _ in shards], self.n_workers, attempt + 1)
+        # every worker replays the whole schedule, so any shard's
+        # group-size log is the group's
+        metrics, size_log = shards[0][1], shards[0][2]
+        for _, collector, _ in shards[1:]:
+            metrics.merge(collector)
+        self.metrics = metrics
+        # lazy: the harness pulls in the simulator, which workers never need
+        from repro.experiments.harness import spec_for_scenario, summarise
+
+        result = summarise(
+            spec_for_scenario(spec),
+            metrics,
+            size_log,
+            report.duplicates_seen,
+            report.delivered_total,
+        )
+        return dataclasses.replace(report, result=result)
 
     def _spawn(self, port_map: dict, wall: float) -> None:
         for worker_id, nodes in enumerate(self.shards(port_map)):
@@ -316,6 +339,7 @@ class ProcessCluster:
         return ""
 
     def _collect(self, wall: float) -> list:
+        """Every worker's ``(report, collector, size log)``."""
         deadline = time.monotonic() + wall + self.RESULT_GRACE
         reports: list = []
         missing: list[int] = []
@@ -325,8 +349,8 @@ class ProcessCluster:
             try:
                 if conn.poll(remaining):
                     msg = conn.recv()
-                    if isinstance(msg, tuple) and len(msg) == 2 and msg[0] == "result":
-                        report = msg[1]
+                    if isinstance(msg, tuple) and len(msg) == 4 and msg[0] == "result":
+                        report = msg[1:]
                     elif isinstance(msg, tuple) and len(msg) == 3 and msg[0] == "failed":
                         raise RuntimeError(f"worker {msg[1]} failed: {msg[2]}")
             except (EOFError, OSError):

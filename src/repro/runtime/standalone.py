@@ -19,20 +19,22 @@ into the run's report. ``--launch N`` instead runs the whole scenario
 on ``N`` local worker processes, one node per OS process at ``N`` equal
 to the group size.
 
-Limit: standalone processes share no start barrier. Each shard starts
+Limits: standalone processes share no start barrier. Each shard starts
 its spec clock when its own process starts, so the timed conditions of
-different shards are skewed by the spread of the launches.
+different shards are skewed by the spread of the launches. And a
+shard's collector does not cross processes, so its report carries
+counts only (``"result": null``); ``--launch N`` reports a result.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
 
 from repro.experiments.profiles import get_profile
+from repro.experiments.sweep import to_jsonable
 from repro.runtime.cluster import ThreadedCluster
 from repro.runtime.process_cluster import scenario_identities
 from repro.scenarios.registry import get_scenario
@@ -139,7 +141,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         nodes = _parse_nodes(args.nodes, spec)
         report = host_shard(spec, nodes, _load_port_map(args.port_map, spec), args.period)
-    print(json.dumps(dataclasses.asdict(report), sort_keys=True))
+    print(json.dumps(to_jsonable(report), sort_keys=True))
     return 0
 
 

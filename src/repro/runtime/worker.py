@@ -12,14 +12,16 @@ control protocol over a :mod:`multiprocessing` pipe:
   ``("ready", id)`` — or ``("bind_failed", id, reason)`` when a port
   was taken between the parent's probe and our bind (the parent then
   re-derives a whole fresh map and respawns).
-* ``("start",)`` — the start barrier; the host's loop thread starts and
-  runs the shard's rounds, feeders and timed conditions for
+* ``("start", at)`` — the start barrier; the host's loop thread starts
+  and, from the :func:`time.monotonic` instant ``at`` that every shard
+  shares, runs the shard's rounds, feeders and timed conditions for
   ``wall_seconds``.
-* ``("result", LiveScenarioReport)`` — sent back when the run
-  completes: the shard's report, built by
+* ``("result", LiveScenarioReport, MetricsCollector, size_log)`` — sent
+  back when the run completes: the shard's report, built by
   :func:`~repro.scenarios.runner.live_report` exactly as the threaded
-  driver builds its own (the parent folds the shards); or
-  ``("failed", id, reason)`` when something raised inside the loop.
+  driver builds its own, with the shard's collector and group-size log
+  for the parent to merge; or ``("failed", id, reason)`` when something
+  raised inside the loop.
 
 Every worker replays the whole schedule: chaos windows mutate its own
 rule-set copy, crash/churn events replicate the directory change so
@@ -59,14 +61,14 @@ class WorkerConfig:
     wall_seconds: float  # run length after the start barrier
 
 
-def _outlast(conn, cluster: ThreadedCluster, wall_seconds: float) -> bool:
-    """Let the run go ``wall_seconds``; False if the pipe turned readable.
+def _outlast(conn, cluster: ThreadedCluster, deadline: float) -> bool:
+    """Let the run go until ``deadline`` (a :func:`time.monotonic`
+    instant); False if the pipe turned readable.
 
     The parent never sends between the start barrier and our result, so
     anything readable — an explicit abort or the EOF of a dead parent —
     means stop now. A failure inside the loop ends the wait early too.
     """
-    deadline = time.monotonic() + wall_seconds
     while not cluster.failed:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
@@ -92,9 +94,9 @@ def _run(conn, cfg: WorkerConfig) -> Optional[tuple]:
     try:
         conn.send(("ready", cfg.worker_id))
         msg = conn.recv()  # EOFError here: the parent died at the barrier
-        if isinstance(msg, tuple) and msg[:1] == ("start",):
-            cluster.start()
-            finished = _outlast(conn, cluster, cfg.wall_seconds)
+        if isinstance(msg, tuple) and len(msg) == 2 and msg[0] == "start":
+            cluster.start(at=msg[1])
+            finished = _outlast(conn, cluster, msg[1] + cfg.wall_seconds)
     except (EOFError, OSError):
         pass  # the parent is gone: stop below, report nothing
     try:
@@ -106,7 +108,8 @@ def _run(conn, cfg: WorkerConfig) -> Optional[tuple]:
     # lazy: the scenario runner imports the live host
     from repro.scenarios.runner import live_report
 
-    return ("result", live_report(cfg.spec, cluster, "process", cfg.wall_seconds))
+    report = live_report(cfg.spec, cluster, "process", cfg.wall_seconds)
+    return ("result", report, cluster.metrics, cluster.size_log)
 
 
 def worker_main(conn) -> None:

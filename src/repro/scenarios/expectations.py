@@ -5,13 +5,13 @@ The scenario subsystem used to be a demo: runs printed metrics and
 regression oracle. Two pieces:
 
 * :class:`ScenarioResult` — one picklable, JSON-able result type for
-  every driver. It unifies the simulator's
-  :class:`~repro.experiments.harness.RunResult` distillation and the
-  live drivers' :class:`~repro.scenarios.runner.LiveScenarioReport` into
-  a flat ``name -> MetricValue`` mapping where every metric carries its
-  provenance (``"sim:delivery"``, ``"threaded:transport"``, ...), so an
-  expectation or a baseline diff can always say *where* a number came
-  from.
+  every driver. Every driver summarises its run into the same windowed
+  :class:`~repro.experiments.harness.RunResult` (a live run's is its
+  :class:`~repro.scenarios.runner.LiveScenarioReport`'s ``result``), and
+  :meth:`ScenarioResult.from_run` flattens it into a ``name ->
+  MetricValue`` mapping where every metric carries its provenance
+  (``"sim:delivery"``, ``"process:rates"``, ...), so an expectation or a
+  baseline diff can always say *where* a number came from.
 
 * The expectation vocabulary — small frozen values
   (:class:`ReliabilityAtLeast`, :class:`RedundancyAtMost`,
@@ -20,10 +20,9 @@ regression oracle. Two pieces:
   :class:`~repro.scenarios.spec.ScenarioSpec` (usually via the
   ``@scenario(..., expectations=...)`` registry decorator) and evaluated
   against a :class:`ScenarioResult` with
-  :func:`evaluate_expectations`. An expectation whose metric the
-  executing driver does not report is *skipped*, not failed — the
-  threaded driver cannot measure atomicity, and that must not turn every
-  threaded run red.
+  :func:`evaluate_expectations`. Every driver reports every metric, so
+  every expectation is evaluated on every driver; one whose metric a
+  result lacks (a hand-built result, say) is *skipped*, not failed.
 
 :class:`AdaptiveBeatsStatic` is the paper's headline claim as a check:
 it compares the scenario's run against a *companion* run of the same
@@ -86,10 +85,9 @@ class MetricValue:
 class ScenarioResult:
     """One scenario run, as a flat named-metric mapping.
 
-    Every driver produces this shape (:meth:`from_sim` /
-    :meth:`from_live`), which is what
-    expectations evaluate and baselines snapshot. Picklable, and JSON-able via
-    :func:`repro.experiments.sweep.to_jsonable`.
+    Every driver produces this shape through :meth:`from_run`, which is
+    what expectations evaluate and baselines snapshot. Picklable, and
+    JSON-able via :func:`repro.experiments.sweep.to_jsonable`.
     """
 
     scenario: str
@@ -97,8 +95,6 @@ class ScenarioResult:
     profile: str = ""
     n_nodes: int = 0
     metrics: Mapping[str, MetricValue] = field(default_factory=dict)
-    skipped: tuple[str, ...] = ()  # conditions the driver could not impose
-    injected: tuple[str, ...] = ()  # conditions the driver lowered (live)
 
     def get(self, name: str) -> Optional[float]:
         """The metric's value, or None if this driver did not report it."""
@@ -109,102 +105,46 @@ class ScenarioResult:
         entry = self.metrics.get(name)
         return None if entry is None else entry.source
 
-    # ------------------------------------------------------------------
-    # constructors, one per driver
-    # ------------------------------------------------------------------
     @classmethod
-    def from_sim(cls, result, profile: str = "") -> "ScenarioResult":
-        """Distil a :class:`~repro.experiments.harness.RunResult`."""
+    def from_run(cls, result, profile: str = "", driver: str = "sim") -> "ScenarioResult":
+        """Distil a :class:`~repro.experiments.harness.RunResult` that
+        ``driver`` produced; provenance names the driver (``"sim:…"``,
+        ``"threaded:…"`` or ``"process:…"``)."""
         spec = result.spec
         delivery = result.delivery
-        period = spec.system.gossip_period
         latency = delivery.mean_latency
+
+        def metric(value, area: str, kind: str = "ratio") -> MetricValue:
+            return MetricValue(value, f"{driver}:{area}", kind)
+
         metrics = {
-            "messages": MetricValue(float(delivery.messages), "sim:delivery", "count"),
-            "atomicity": MetricValue(delivery.atomicity, "sim:delivery", "fraction"),
-            "avg_receiver_fraction": MetricValue(
-                delivery.avg_receiver_fraction, "sim:delivery", "fraction"
+            "messages": metric(float(delivery.messages), "delivery", "count"),
+            "atomicity": metric(delivery.atomicity, "delivery", "fraction"),
+            "avg_receiver_fraction": metric(
+                delivery.avg_receiver_fraction, "delivery", "fraction"
             ),
-            "complete_fraction": MetricValue(
-                delivery.complete_fraction, "sim:delivery", "fraction"
+            "complete_fraction": metric(delivery.complete_fraction, "delivery", "fraction"),
+            "redundancy": metric(result.gossip_redundancy, "gossip"),
+            "delivery_redundancy": metric(delivery.redundancy, "delivery"),
+            "mean_latency_s": metric(latency, "convergence"),
+            "convergence_rounds": metric(
+                convergence_rounds(latency, spec.system.gossip_period), "convergence"
             ),
-            "redundancy": MetricValue(result.gossip_redundancy, "sim:gossip"),
-            "delivery_redundancy": MetricValue(delivery.redundancy, "sim:delivery"),
-            "mean_latency_s": MetricValue(latency, "sim:convergence"),
-            "convergence_rounds": MetricValue(
-                convergence_rounds(latency, period), "sim:convergence"
-            ),
-            "offered_rate": MetricValue(result.offered_rate, "sim:rates"),
-            "input_rate": MetricValue(result.input_rate, "sim:rates"),
-            "output_rate": MetricValue(result.output_rate, "sim:rates"),
-            "drop_age_mean": MetricValue(result.drop_age_mean, "sim:drops"),
-            "drops_overflow": MetricValue(result.drops_overflow, "sim:drops", "count"),
-            "drops_age_out": MetricValue(result.drops_age_out, "sim:drops", "count"),
-            "senders_total": MetricValue(
-                float(result.senders_total), "sim:senders", "count"
-            ),
-            "senders_reached": MetricValue(
-                float(result.senders_reached), "sim:senders", "count"
-            ),
+            "offered_rate": metric(result.offered_rate, "rates"),
+            "input_rate": metric(result.input_rate, "rates"),
+            "output_rate": metric(result.output_rate, "rates"),
+            "drop_age_mean": metric(result.drop_age_mean, "drops"),
+            "drops_overflow": metric(result.drops_overflow, "drops", "count"),
+            "drops_age_out": metric(result.drops_age_out, "drops", "count"),
+            "senders_total": metric(float(result.senders_total), "senders", "count"),
+            "senders_reached": metric(float(result.senders_reached), "senders", "count"),
         }
         return cls(
             scenario=spec.scenario or spec.protocol,
-            driver="sim",
+            driver=driver,
             profile=profile,
             n_nodes=spec.n_nodes,
             metrics=metrics,
-        )
-
-    @classmethod
-    def from_live(cls, report, profile: str = "") -> "ScenarioResult":
-        """Distil a :class:`~repro.scenarios.runner.LiveScenarioReport`.
-
-        Both live drivers report the same metric names, so a baseline
-        diffs against one vocabulary and expectations need no per-driver
-        cases; provenance carries the driver (``"threaded:…"`` or
-        ``"process:…"``). Wall-clock quantities (``wall_seconds``,
-        ``time_scale``) and worker plumbing counters (``bind_errors``,
-        ``port_attempts``) are deliberately *not* metrics: they describe
-        the run's clock and machinery, vary machine to machine, and must
-        never enter a baseline.
-        """
-        driver = report.driver
-        src, feeder = f"{driver}:transport", f"{driver}:feeder"
-        metrics = {
-            "offers": MetricValue(float(report.offers), feeder, "count"),
-            "admitted": MetricValue(float(report.admitted), src, "count"),
-            "delivered_total": MetricValue(
-                float(report.delivered_total), src, "count"
-            ),
-            "delivered_min": MetricValue(float(report.delivered_min), src, "count"),
-            "delivered_max": MetricValue(float(report.delivered_max), src, "count"),
-            "admit_fraction": MetricValue(
-                report.admitted / report.offers if report.offers else math.nan,
-                feeder,
-                "fraction",
-            ),
-            "delivery_balance": MetricValue(
-                report.delivered_min / report.delivered_max
-                if report.delivered_max
-                else math.nan,
-                src,
-                "fraction",
-            ),
-            "redundancy": MetricValue(
-                report.duplicates_seen / report.delivered_total
-                if report.delivered_total
-                else math.nan,
-                f"{driver}:protocol",
-            ),
-        }
-        return cls(
-            scenario=report.scenario,
-            driver=driver,
-            profile=profile,
-            n_nodes=report.n_nodes,
-            metrics=metrics,
-            skipped=tuple(report.skipped),
-            injected=tuple(report.injected),
         )
 
 

@@ -501,7 +501,7 @@ def _run_fuzz_threaded(cases, profile, horizon, flag) -> list[FuzzOutcome]:
     for case in cases:
         spec = case.spec if horizon is None else case.spec.with_horizon(horizon)
         report = run_scenario_threaded(spec)
-        result = ScenarioResult.from_live(report, profile=profile.name)
+        result = ScenarioResult.from_run(report.result, profile.name, report.driver)
         checks = evaluate_expectations(spec.expectations, result)
         # expectation failures plus the parity property: everything the
         # spec declares must have lowered onto the runtime

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional, Union
 
-from repro.experiments.harness import run_once, spec_for_scenario
+from repro.experiments.harness import RunResult, run_once, spec_for_scenario, summarise
 from repro.experiments.profiles import Profile, get_profile
 from repro.experiments.sweep import run_scenario_matrix
 from repro.runtime.cluster import ThreadedCluster
@@ -103,23 +103,16 @@ def run_scenario(
     """Run one scenario end to end on the chosen driver.
 
     Returns a :class:`~repro.experiments.harness.RunResult` for
-    ``driver="sim"`` and a :class:`LiveScenarioReport` for
-    ``driver="threaded"`` or ``driver="process"``.
+    ``driver="sim"``, and for ``driver="threaded"`` or ``"process"`` a
+    :class:`LiveScenarioReport` whose ``result`` is one.
     """
     spec = _resolve(spec_or_name, profile)
     if driver == "sim":
         return run_once(spec_for_scenario(spec, dispatch=dispatch, horizon=horizon))
-    if driver == "threaded":
-        if horizon is not None:
-            spec = spec.with_horizon(horizon)
-        return run_scenario_threaded(spec)
-    if driver == "process":
-        if horizon is not None:
-            spec = spec.with_horizon(horizon)
-        return run_scenario_process(spec)
-    raise ValueError(
-        f"unknown driver {driver!r}; choose 'sim', 'threaded' or 'process'"
-    )
+    live = {"threaded": run_scenario_threaded, "process": run_scenario_process}.get(driver)
+    if live is None:
+        raise ValueError(f"unknown driver {driver!r}; choose 'sim', 'threaded' or 'process'")
+    return live(spec if horizon is None else spec.with_horizon(horizon))
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +127,8 @@ class LiveScenarioReport:
     and a process run folds its shards' reports into one
     (:meth:`~repro.runtime.process_cluster.ProcessCluster.run`). Only
     ``n_workers`` and ``port_attempts`` stay 0 on the threaded driver.
+    The counts are whole-run facts; ``result`` is the run measured over
+    the spec's window exactly as the sim measures (``None`` for a shard).
     """
 
     scenario: str
@@ -145,7 +140,6 @@ class LiveScenarioReport:
     admitted: int
     delivered_total: int
     delivered_min: int
-    delivered_max: int
     skipped: tuple[str, ...]  # conditions the live host could not lower
     # surfaced as a count so CLI output and JSON payloads can report
     # partial coverage without string-matching the skip reasons; a real
@@ -162,6 +156,7 @@ class LiveScenarioReport:
     send_failures: int = 0  # sends with no live route or a failed sendto
     bind_errors: int = 0  # respawn-time rebinds that never got their port back
     port_attempts: int = 0  # process driver only: seeded port maps tried
+    result: Optional[RunResult] = None  # the windowed summary; None for a shard
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "skipped_count", len(self.skipped))
@@ -252,13 +247,21 @@ def live_report(
 
     The one builder of live reports: the threaded driver calls it on its
     host, and every process worker on its shard's host (the parent folds
-    the shards). Restarted nodes report their current incarnation — a
-    fresh process's counts, exactly what a real redeploy would show.
+    the shards and summarises their merged collectors); a host of the
+    whole group summarises its own. Restarted nodes report their current
+    incarnation — a fresh process's counts, exactly what a real redeploy
+    would show.
     """
     stats = [node.protocol.stats for node in cluster.nodes.values()]
     delivered = [s.events_delivered for s in stats]
+    duplicates = sum(getattr(s, "duplicates_seen", 0) for s in stats)
     injected, skipped = live_coverage(spec)
     chaos = cluster.chaos
+    result = None
+    if cluster.hosted is None:
+        result = summarise(
+            spec_for_scenario(spec), cluster.metrics, cluster.size_log, duplicates, sum(delivered)
+        )
     return LiveScenarioReport(
         scenario=spec.name,
         driver=driver,
@@ -269,9 +272,8 @@ def live_report(
         admitted=int(cluster.metrics.admitted.count()),
         delivered_total=sum(delivered),
         delivered_min=min(delivered),
-        delivered_max=max(delivered),
         skipped=skipped,
-        duplicates_seen=sum(getattr(s, "duplicates_seen", 0) for s in stats),
+        duplicates_seen=duplicates,
         injected=injected,
         chaos_eaten=0 if chaos is None else chaos.stats.eaten,
         chaos_delayed=0 if chaos is None else chaos.stats.delayed,
@@ -279,6 +281,7 @@ def live_report(
         decode_errors=cluster.decode_errors,
         send_failures=cluster.send_failures,
         bind_errors=cluster.bind_errors,
+        result=result,
     )
 
 
@@ -326,8 +329,9 @@ def run_scenario_process(
     ``workers`` OS processes gossiping over real UDP sockets; feeders,
     chaos windows, crash/restart and churn all fire on the event loop of
     the worker hosting the shard (see :mod:`repro.runtime.worker`). Each
-    worker builds its shard's :func:`live_report` and the parent folds
-    them into one. A worker's failure is raised here.
+    worker builds its shard's :func:`live_report`, and the parent folds
+    them and summarises the merged collectors. A worker's failure is
+    raised here.
     """
     # imported lazily: the process driver pulls in multiprocessing and
     # the asyncio worker, which sim-only callers never need

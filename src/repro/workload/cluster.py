@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.driver import Driver, ProtocolFactory, make_protocol_factory
+from repro.driver import Driver, ProtocolFactory, make_protocol_factory, sample_gauges
 from repro.core.aggregation import Aggregate
 from repro.core.config import AdaptiveConfig
 from repro.gossip.config import SystemConfig
@@ -54,8 +54,6 @@ __all__ = ["ClusterNode", "SimCluster", "make_protocol_factory", "ProtocolFactor
 
 class ClusterNode(SimProcess):
     """One simulated node: a protocol instance plus its round dispatch."""
-
-    GAUGES_EVERY_ROUND = ("allowed_rate", "avg_age", "min_buff", "buffer_len")
 
     def __init__(
         self,
@@ -112,7 +110,7 @@ class ClusterNode(SimProcess):
         for dest, message in self.protocol.on_round(now):
             self.network.send(self.node_id, dest, message, items=message.n_events)
         if self.sample_gauges:
-            self._sample_gauges(now)
+            sample_gauges(self.collector, self.node_id, self.protocol, now)
 
     def _on_round_batched(self) -> None:
         """Batched round: one multicast per (destinations, message) group."""
@@ -122,7 +120,7 @@ class ClusterNode(SimProcess):
         for dests, message in self.protocol.on_round_batch(now):
             multicast(node_id, dests, message, items=message.n_events)
         if self.sample_gauges:
-            self._sample_gauges(now)
+            sample_gauges(self.collector, self.node_id, self.protocol, now)
 
     def _on_message(self, message: GossipMessage, src: NodeId, now: float) -> None:
         replies = self.protocol.on_receive(message, now)
@@ -138,20 +136,6 @@ class ClusterNode(SimProcess):
 
     def _on_message_batch_push_only(self, messages: list, now: float) -> None:
         self.protocol.on_receive_batch(messages, now)
-
-    def _sample_gauges(self, now: float) -> None:
-        collector = self.collector
-        protocol = self.protocol
-        rate = getattr(protocol, "allowed_rate", None)
-        if rate is not None:
-            collector.sample_gauge("allowed_rate", self.node_id, now, rate)
-        avg_age = getattr(protocol, "avg_age", None)
-        if avg_age is not None:
-            collector.sample_gauge("avg_age", self.node_id, now, avg_age)
-        min_buff = getattr(protocol, "min_buff_estimate", None)
-        if min_buff is not None:
-            collector.sample_gauge("min_buff", self.node_id, now, min_buff)
-        collector.sample_gauge("buffer_len", self.node_id, now, len(protocol.buffer))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -250,8 +234,6 @@ class SimCluster(Driver):
         self.nodes: dict[NodeId, ClusterNode] = {}
         self.senders: dict[NodeId, Sender] = {}
         self._sample_gauges = sample_gauges
-        # group size over time, for delivery analysis under churn
-        self._size_log: list[tuple[float, int]] = []
         # The vector dispatch mode routes qualifying configurations onto
         # the whole-population columnar lane; everything else (and both
         # classic modes) materialises real per-node protocol instances,
@@ -514,24 +496,12 @@ class SimCluster(Driver):
         """Advance the simulation by ``duration`` virtual seconds."""
         self.sim.run(until=self.sim.now + duration)
 
+    def clock(self) -> float:
+        """The simulated time."""
+        return self.sim.now
+
     def close(self) -> None:
         """No-op: the simulator owns no processes, files or sockets.
 
         Kept so callers can close any driver the same way.
         """
-
-    def _log_size(self) -> None:
-        self._size_log.append((self.sim.now, len(self.directory)))
-
-    def group_size_at(self, time: float) -> int:
-        """The group size in force at a (past) simulation time.
-
-        Delivery analysis under churn should compare each message against
-        the group it was broadcast into, not against the final group.
-        """
-        size = self._size_log[0][1] if self._size_log else len(self.directory)
-        for t, s in self._size_log:
-            if t > time:
-                break
-            size = s
-        return size

@@ -6,8 +6,9 @@ pattern and pushes them through the protocol's admission interface:
 * the baseline admits everything immediately (unbounded input rate —
   Figure 7(a), "lpbcast");
 * token-bucket protocols may refuse; refused messages wait in a bounded
-  pending queue and are retried the moment a token is due — this is the
-  paper's blocking ``BROADCAST`` (Figure 3) without blocking a thread.
+  :class:`~repro.driver.OfferQueue` (the one the live host's nodes use)
+  and are retried the moment a token is due — this is the paper's
+  blocking ``BROADCAST`` (Figure 3) without blocking a thread.
 
 Arrival patterns are small strategy objects exposing
 ``next_interval(rng) -> float`` and a mutable ``rate`` so scenario scripts
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from repro.driver import OfferQueue
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator, TimerHandle
 from repro.sim.process import SimProcess
@@ -103,9 +105,8 @@ class Sender(SimProcess):
     start / stop:
         Active interval; offers outside it are not generated.
     queue_limit:
-        Bound on messages waiting for admission. When full, the *oldest*
-        queued offer is discarded and counted as rejected — the
-        application equivalent of giving up on a blocked ``BROADCAST``.
+        Bound on offers waiting for admission (see
+        :class:`~repro.driver.OfferQueue`, which also counts them).
     """
 
     def __init__(
@@ -121,21 +122,14 @@ class Sender(SimProcess):
         queue_limit: int = 100,
     ) -> None:
         super().__init__(sim, name)
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
+        self.queue = OfferQueue(protocol.node_id, protocol, collector, queue_limit)
         self.protocol = protocol
         self.arrivals = arrivals
-        self.collector = collector
         self.payload_fn = payload_fn
         self.start = start
         self.stop_time = stop
-        self.queue_limit = queue_limit
-        self._pending: list[Any] = []
         self._offer_seq = 0
         self._retry: Optional[TimerHandle] = None
-        self.offered = 0
-        self.admitted = 0
-        self.rejected = 0
         self.after(max(0.0, start - sim.now), self._tick)
 
     # ------------------------------------------------------------------
@@ -145,37 +139,19 @@ class Sender(SimProcess):
         now = self.sim.now
         if self.stop_time is not None and now >= self.stop_time:
             return
-        self._offer()
-        self.after(self.arrivals.next_interval(self.rng), self._tick)
-
-    def _offer(self) -> None:
-        now = self.sim.now
-        self.offered += 1
-        self.collector.on_offered(self.protocol.node_id, now)
         payload = self.payload_fn(self._offer_seq) if self.payload_fn else None
         self._offer_seq += 1
-        self._pending.append(payload)
-        if len(self._pending) > self.queue_limit:
-            self._pending.pop(0)
-            self.rejected += 1
-            self.collector.on_rejected(self.protocol.node_id, now)
-        self._drain()
+        self._settle(self.queue.offer(payload, now), now)
+        self.after(self.arrivals.next_interval(self.rng), self._tick)
 
-    def _drain(self) -> None:
-        now = self.sim.now
-        while self._pending:
-            event_id = self.protocol.try_broadcast(self._pending[0], now)
-            if event_id is None:
-                self._schedule_retry(now)
-                return
-            self._pending.pop(0)
-            self.admitted += 1
-            self.collector.on_admitted(self.protocol.node_id, event_id, now)
-        if self._retry is not None:
-            self._retry.cancel()
-            self._retry = None
-
-    def _schedule_retry(self, now: float) -> None:
+    def _settle(self, waiting: bool, now: float) -> None:
+        """Keep one retry timer, due when admission next allows, while
+        offers wait; none otherwise."""
+        if not waiting:
+            if self._retry is not None:
+                self._retry.cancel()
+                self._retry = None
+            return
         if self._retry is not None and not self._retry.cancelled:
             return
         delay = max(self.protocol.time_until_admission(now), 1e-6)
@@ -183,7 +159,8 @@ class Sender(SimProcess):
 
     def _on_retry(self) -> None:
         self._retry = None
-        self._drain()
+        now = self.sim.now
+        self._settle(self.queue.drain(now), now)
 
     # ------------------------------------------------------------------
     # runtime control
@@ -194,6 +171,3 @@ class Sender(SimProcess):
             raise ValueError("rate must be > 0")
         self.arrivals.rate = rate
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._pending)

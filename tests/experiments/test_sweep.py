@@ -9,7 +9,6 @@ import pytest
 from repro.experiments.harness import RunSpec, run_once
 from repro.experiments.sweep import (
     merged_metrics,
-    results_to_jsonable,
     run_specs,
     to_jsonable,
 )
@@ -38,7 +37,7 @@ SPECS = [make_spec(seed=s, buffer_capacity=20 + 5 * s) for s in range(4)]
 # drops happened), and NaN != NaN; compare through the jsonable form,
 # which maps non-finite floats to None.
 def same(a, b):
-    return results_to_jsonable(a) == results_to_jsonable(b)
+    return to_jsonable(a) == to_jsonable(b)
 
 
 def test_serial_matches_run_once():
@@ -116,7 +115,7 @@ def test_collector_merge_sums_series():
 
 def test_jsonable_results_round_trip():
     results = run_specs(SPECS[:2], jobs=1)
-    doc = results_to_jsonable(results)
+    doc = to_jsonable(results)
     text = json.dumps(doc)  # must be strictly serialisable
     parsed = json.loads(text)
     assert parsed[0]["spec"]["n_nodes"] == 8

@@ -94,7 +94,7 @@ def test_admission_throttles_in_both_drivers():
     )
     sim_cluster.add_sender(0, rate=offered / window)
     sim_cluster.run(until=window)
-    sim_admitted = sim_cluster.senders[0].admitted
+    sim_admitted = sim_cluster.metrics.admitted.count()
 
     rt_cluster = ThreadedCluster(
         N, system=sim_system(), protocol="adaptive", adaptive=ADAPTIVE, seed=5
@@ -106,7 +106,7 @@ def test_admission_throttles_in_both_drivers():
         time.sleep(window)
     finally:
         rt_cluster.stop()
-    rt_admitted = rt_cluster.nodes[0].offers_admitted
+    rt_admitted = rt_cluster.metrics.admitted.count()
 
     # both drivers admit roughly initial_rate * window (+ bucket depth),
     # nowhere near the offered 200
@@ -115,33 +115,59 @@ def test_admission_throttles_in_both_drivers():
         assert admitted >= 0.3 * ADAPTIVE.initial_rate * window
 
 
+def _windowed_share(result):
+    """Admitted over offered in the spec's measurement window."""
+    return result.input_rate / result.offered_rate
+
+
 def test_live_admission_is_independent_of_the_time_scale():
     """The token bucket and the allowed rate are msg/s of *spec* time.
 
     One adaptive overload spec runs on the live host at two gossip
-    periods (three times apart in wall pace) and on the simulator. The
-    live host's protocols read its spec clock, so both live runs admit
-    the same share of their offers, and about the share the simulator
-    admits. Measured on a 2-core host over 15 spec s (~6 s of wall time
-    in all): live 0.640–0.653 at 0.1 s and 0.642–0.647 at 0.3 s, with or
-    without a second busy process, against the simulator's 0.563. A
-    host that handed the protocols wall seconds admitted 0.093 at 0.1 s
-    and 0.213 at 0.3 s: admission moved with the pace, and sat far below
-    the simulator's.
+    periods (three times apart in wall pace) and on the simulator, and
+    each run's admitted share of its offers is read over the spec's
+    measurement window. The live host's protocols read its spec clock,
+    so both live runs admit the same share, and about the share the
+    simulator admits. Measured on a 2-core host over 15 spec s, three
+    runs each: live 0.562–0.567 at 0.1 s and 0.571 at 0.3 s, against
+    the simulator's 0.562. (Whole-run counts, warm-up included, read
+    0.640–0.653 and 0.642–0.647; a host that handed the protocols wall
+    seconds admitted 0.093 at 0.1 s and 0.213 at 0.3 s: admission moved
+    with the pace.)
     """
     from repro.scenarios.registry import get_scenario
     from repro.scenarios.runner import run_scenario, run_scenario_threaded, smoke_profile
 
     spec = get_scenario("overload-baseline", smoke_profile()).with_horizon(15.0)
     assert spec.protocol == "adaptive"
-    sim = run_scenario(spec, driver="sim")
-    sim_share = sim.input_rate / sim.offered_rate
+    sim_share = _windowed_share(run_scenario(spec, driver="sim"))
     live_share = {}
     for period in (0.1, 0.3):
         report = run_scenario_threaded(spec, gossip_period=period)
-        live_share[period] = report.admitted / report.offers
-    # within 15% of each other (measured: within 2%)...
-    assert min(live_share.values()) >= 0.85 * max(live_share.values()), live_share
-    # ...and within 0.15 of the simulator (measured: within 0.09)
+        live_share[period] = _windowed_share(report.result)
+    # within 10% of each other (measured: within 2%)...
+    assert min(live_share.values()) >= 0.9 * max(live_share.values()), live_share
+    # ...and within 0.1 of the simulator (measured: within 0.01)
     for share in live_share.values():
-        assert abs(share - sim_share) <= 0.15, (live_share, sim_share)
+        assert abs(share - sim_share) <= 0.1, (live_share, sim_share)
+
+
+def test_live_admission_matches_the_sim_over_the_window():
+    """Live admission, read over the sim's window, is the sim's.
+
+    flash-crowd and slow-receivers showed the widest gap between the
+    live whole-run admitted share and the sim's windowed one (0.595 vs
+    0.429 and 0.446 vs 0.335): the two counted different windows. Over
+    the same window, five threaded runs each at smoke scale on a 2-core
+    host measured flash-crowd 0.429–0.436 against the sim's 0.429, and
+    slow-receivers 0.369–0.374 against the sim's 0.335 (gap at most
+    0.039). The band is about twice the widest measured gap.
+    """
+    from repro.scenarios.registry import get_scenario
+    from repro.scenarios.runner import run_scenario, run_scenario_threaded, smoke_profile
+
+    for name in ("flash-crowd", "slow-receivers"):
+        spec = get_scenario(name, smoke_profile())
+        sim_share = _windowed_share(run_scenario(spec, driver="sim"))
+        live_share = _windowed_share(run_scenario_threaded(spec).result)
+        assert abs(live_share - sim_share) <= 0.075, (name, live_share, sim_share)

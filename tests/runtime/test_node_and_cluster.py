@@ -127,10 +127,40 @@ def test_offers_respect_admission():
         time.sleep(1.0)
     finally:
         cluster.stop()
-    node = cluster.nodes[0]
+    admitted = cluster.metrics.admitted.count()
     # ~5/s for ~1s, plus the bucket depth (5): nowhere near 100
-    assert node.offers_admitted <= 20
-    assert node.offers_admitted >= 1
+    assert 1 <= admitted <= 20
+
+
+def test_offer_queue_is_bounded_like_a_sim_sender():
+    # the sim sender's queue: every offer recorded, the oldest beyond the
+    # limit given up and recorded as rejected
+    cluster = ThreadedCluster(
+        3, system=fast_system(), protocol="static", rate_limit=5.0, seed=5,
+        queue_limits={0: 5},
+    )
+    try:
+        for _ in range(50):
+            cluster.broadcast(0, "x")  # before start: admitted at spec time 0
+        metrics = cluster.metrics
+        assert len(cluster.nodes[0].queue) == 5
+        assert metrics.offered.count() == 50
+        assert metrics.admitted.count() >= 1
+        assert metrics.rejected.count() == 50 - 5 - metrics.admitted.count()
+    finally:
+        cluster.stop()
+
+
+def test_live_membership_changes_are_logged():
+    cluster = ThreadedCluster(4, system=fast_system(), seed=2)
+    try:
+        cluster.crash_node(3)
+        assert cluster.size_log[-1] == (0.0, 3)
+        cluster.join_node(3)
+        assert cluster.size_log[-1] == (0.0, 4)
+        assert cluster.group_size_at(0.0) == 4
+    finally:
+        cluster.stop()
 
 
 def test_send_failures_counted_for_unknown_dest():

@@ -12,10 +12,12 @@ Three properties the process driver must hold beyond scenario parity:
   exits on its own, before or during a run; no leaked processes or
   sockets survive the suite.
 
-The shard fold is checked on hand-built reports, without a process.
+The shard fold is checked on hand-built reports, without a process;
+the merge of the shards' collectors on a short real run.
 """
 
 import dataclasses
+import math
 import multiprocessing
 import socket
 import threading
@@ -23,6 +25,7 @@ import time
 
 import pytest
 
+from repro.experiments.harness import spec_for_scenario
 from repro.gossip.lpbcast import LpbcastProtocol
 from repro.membership.churn import ChurnScript
 from repro.runtime.process_cluster import (
@@ -135,18 +138,18 @@ def _shard_report(**counts):
 
 def test_fold_adds_counts_and_spans_delivered_bounds():
     a = _shard_report(
-        offers=10, admitted=6, delivered_total=20, delivered_min=9, delivered_max=11,
+        offers=10, admitted=6, delivered_total=20, delivered_min=9,
         duplicates_seen=3, chaos_eaten=1, chaos_delayed=2, chaos_oneway_dropped=0,
         decode_errors=0, send_failures=4, bind_errors=1,
     )
     b = _shard_report(
-        offers=5, admitted=4, delivered_total=17, delivered_min=7, delivered_max=10,
+        offers=5, admitted=4, delivered_total=17, delivered_min=7,
         duplicates_seen=2, chaos_eaten=5, chaos_delayed=0, chaos_oneway_dropped=3,
         decode_errors=1, send_failures=0, bind_errors=0,
     )
     folded = fold_reports([a, b], n_workers=2, port_attempts=3)
     assert (folded.offers, folded.admitted, folded.delivered_total) == (15, 10, 37)
-    assert (folded.delivered_min, folded.delivered_max) == (7, 11)
+    assert folded.delivered_min == 7
     assert folded.duplicates_seen == 5
     assert (folded.chaos_eaten, folded.chaos_delayed, folded.chaos_oneway_dropped) == (6, 2, 3)
     assert (folded.decode_errors, folded.send_failures, folded.bind_errors) == (1, 4, 1)
@@ -171,6 +174,33 @@ def test_tiny_run_delivers_and_leaks_nothing():
     assert report.bind_errors == 0
     # every worker joined in teardown; nothing outlives the run
     assert len(multiprocessing.active_children()) <= before
+
+
+def test_merged_shard_collectors_summarise_the_whole_run():
+    # 12 spec s: warm-up 4 and drain 2, so the window [4, 10) is whole
+    # buckets and its messages and admissions count alike
+    spec = get_scenario("overload-baseline", smoke_profile()).with_horizon(12.0)
+    cluster = ProcessCluster(spec, n_workers=2)
+    report = cluster.run()
+    metrics = cluster.metrics
+    since, until = spec_for_scenario(spec).window
+    window = metrics.messages_in_window(since, until)
+    assert window
+    # every receiver's delivery met its origin's admission in the merge:
+    # nothing stays parked, and each window message counts its origin
+    assert metrics.unknown_deliveries == 0
+    assert not metrics._early
+    assert all(record.origin in record.receivers for record in window)
+    assert len(window) == metrics.admitted.count(since, until)
+    # the merge spans the shards: messages reached nodes on both
+    for shard in cluster.shards(scenario_identities(spec)):
+        assert any(record.receivers & set(shard) for record in window)
+    result = report.result
+    assert result.delivery.messages == len(window)
+    assert result.offered_rate > 0 and result.input_rate > 0
+    # the adaptive gauges, sampled every live round, come through the merge
+    for gauge in (result.allowed_rate_total, result.avg_age_mean, result.min_buff_mean):
+        assert math.isfinite(gauge)
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +240,7 @@ def test_worker_exits_when_parent_vanishes_before_start():
 
 def test_worker_exits_when_parent_vanishes_mid_run():
     proc, conn = _configured_worker()
-    conn.send(("start",))
+    conn.send(("start", time.monotonic()))
     time.sleep(0.5)  # genuinely mid-run (wall is ~30s of scaled horizon)
     conn.close()  # parent gone; the watchdog must notice the EOF
     proc.join(timeout=10.0)
@@ -312,7 +342,7 @@ def test_a_worker_failure_reaches_the_parent(monkeypatch):
     try:
         parent_conn.send(("configure", cfg))
         assert parent_conn.recv() == ("ready", 0)
-        parent_conn.send(("start",))
+        parent_conn.send(("start", time.monotonic()))
         cluster = ProcessCluster(spec, n_workers=1)
         cluster._conns = [parent_conn]
         with pytest.raises(RuntimeError, match="worker 0 failed: node .*on_receive_batch raised"):

@@ -115,7 +115,9 @@ def test_two_shard_processes_fold_into_one_run(spec, port_map_file):
         for proc in procs:
             out, _ = proc.communicate(timeout=90)
             assert proc.returncode == 0
-            shards.append(LiveScenarioReport(**json.loads(out.strip().splitlines()[-1])))
+            shard = json.loads(out.strip().splitlines()[-1])
+            assert shard["result"] is None  # a shard's collector stays home
+            shards.append(LiveScenarioReport(**shard))
     finally:
         for proc in procs:
             proc.kill()
@@ -137,3 +139,6 @@ def test_launched_group_disseminates():
     assert report["skipped_count"] == 0
     assert report["decode_errors"] == 0
     assert report["delivered_min"] > 0
+    # the windowed result of the merged collectors, serialised in full
+    assert report["result"]["delivery"]["messages"] > 0
+    assert report["result"]["spec"]["scenario"] == "partition-heal"

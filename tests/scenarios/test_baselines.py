@@ -21,13 +21,13 @@ from repro.scenarios.expectations import (
 )
 
 
-# kinds for the fabricated metrics (mirrors what from_sim/from_live
-# declare for the real ones); anything else defaults to "ratio"
+# kinds for the fabricated metrics (mirrors what ScenarioResult.from_run
+# declares for the real ones); anything else defaults to "ratio"
 KINDS = {
-    "offers": "count",
-    "delivered_total": "count",
-    "delivered_min": "count",
-    "admit_fraction": "fraction",
+    "messages": "count",
+    "drops_overflow": "count",
+    "senders_reached": "count",
+    "complete_fraction": "fraction",
     "atomicity": "fraction",
 }
 
@@ -74,7 +74,7 @@ def test_missing_baseline_is_reported(tmp_path):
 def test_entries_key_by_profile_and_driver(tmp_path):
     update_baseline(result(profile="smoke", atomicity=1.0), tmp_path)
     update_baseline(result(profile="paper", atomicity=0.9), tmp_path)
-    update_baseline(result(profile="smoke", driver="threaded", offers=100.0), tmp_path)
+    update_baseline(result(profile="smoke", driver="threaded", senders_reached=3.0), tmp_path)
     doc = load_baseline("fab", tmp_path)
     assert set(doc["entries"]) == {"smoke/sim", "paper/sim", "smoke/threaded"}
     # a result at one scale is never judged against another scale's entry
@@ -93,11 +93,11 @@ def test_horizon_is_part_of_the_key(tmp_path):
 # tolerance banding (the threaded driver's comparison mode)
 # ----------------------------------------------------------------------
 def test_tolerance_band_edges(tmp_path):
-    update_baseline(result(driver="threaded", delivered_total=1000.0), tmp_path)
+    update_baseline(result(driver="threaded", drops_overflow=1000.0), tmp_path)
 
     def diff_at(value):
         return compare_to_baseline(
-            result(driver="threaded", delivered_total=value), tmp_path
+            result(driver="threaded", drops_overflow=value), tmp_path
         )
 
     # default threaded tolerance is 0.5 relative + 5 absolute slack
@@ -111,15 +111,15 @@ def test_tolerance_band_edges(tmp_path):
 def test_fraction_metrics_use_an_absolute_band(tmp_path):
     # a relative band + count slack would make drift on [0, 1] metrics
     # undetectable; bounded metrics compare inside |delta| <= tol/2
-    update_baseline(result(driver="threaded", admit_fraction=0.95), tmp_path)
+    update_baseline(result(driver="threaded", complete_fraction=0.95), tmp_path)
     near = compare_to_baseline(
-        result(driver="threaded", admit_fraction=0.75), tmp_path
+        result(driver="threaded", complete_fraction=0.75), tmp_path
     )
     assert near.clean  # |0.20| <= 0.25
     collapsed = compare_to_baseline(
-        result(driver="threaded", admit_fraction=0.50), tmp_path
+        result(driver="threaded", complete_fraction=0.50), tmp_path
     )
-    assert not collapsed.clean  # |0.45| > 0.25: an admission collapse is caught
+    assert not collapsed.clean  # |0.45| > 0.25: a delivery collapse is caught
 
 
 def test_ratio_metrics_above_one_get_no_slack(tmp_path):
@@ -136,34 +136,34 @@ def test_ratio_metrics_above_one_get_no_slack(tmp_path):
 
 
 def test_absolute_slack_covers_near_zero_counts(tmp_path):
-    update_baseline(result(driver="threaded", delivered_min=0.0), tmp_path)
+    update_baseline(result(driver="threaded", messages=0.0), tmp_path)
     assert compare_to_baseline(
-        result(driver="threaded", delivered_min=3.0), tmp_path
+        result(driver="threaded", messages=3.0), tmp_path
     ).clean
     assert not compare_to_baseline(
-        result(driver="threaded", delivered_min=20.0), tmp_path
+        result(driver="threaded", messages=20.0), tmp_path
     ).clean
     # 1 -> 0 is the most common near-zero wobble and must not flap
-    update_baseline(result(scenario="c2", driver="threaded", delivered_min=1.0), tmp_path)
+    update_baseline(result(scenario="c2", driver="threaded", messages=1.0), tmp_path)
     assert compare_to_baseline(
-        result(scenario="c2", driver="threaded", delivered_min=0.0), tmp_path
+        result(scenario="c2", driver="threaded", messages=0.0), tmp_path
     ).clean
     # ...while the same 1 -> 0 move on a *fraction* is a total collapse
-    update_baseline(result(scenario="f2", driver="threaded", admit_fraction=1.0), tmp_path)
+    update_baseline(result(scenario="f2", driver="threaded", complete_fraction=1.0), tmp_path)
     assert not compare_to_baseline(
-        result(scenario="f2", driver="threaded", admit_fraction=0.0), tmp_path
+        result(scenario="f2", driver="threaded", complete_fraction=0.0), tmp_path
     ).clean
 
 
 def test_integer_json_values_compare_without_crashing(tmp_path):
     # hand-edited snapshots naturally write counts as JSON ints
-    update_baseline(result(driver="threaded", delivered_total=1000.0), tmp_path)
+    update_baseline(result(driver="threaded", drops_overflow=1000.0), tmp_path)
     path = baseline_path("fab", tmp_path)
     doc = json.loads(path.read_text())
-    doc["entries"]["test/threaded"]["metrics"]["delivered_total"]["value"] = 1000
+    doc["entries"]["test/threaded"]["metrics"]["drops_overflow"]["value"] = 1000
     path.write_text(json.dumps(doc))
     assert compare_to_baseline(
-        result(driver="threaded", delivered_total=1100.0), tmp_path
+        result(driver="threaded", drops_overflow=1100.0), tmp_path
     ).clean
 
 

@@ -3,8 +3,6 @@
 import math
 import pickle
 
-import pytest
-
 from repro.scenarios.expectations import (
     AdaptiveBeatsStatic,
     ConvergenceWithin,
@@ -109,16 +107,19 @@ def test_evaluate_expectations_preserves_order():
 # ----------------------------------------------------------------------
 # result construction from the drivers
 # ----------------------------------------------------------------------
-def test_from_sim_carries_provenance():
+def _slow_receivers_run():
     from repro.experiments.harness import run_once, spec_for_scenario
     from repro.scenarios.registry import get_scenario
     from repro.scenarios.runner import smoke_profile
 
     prof = smoke_profile()
-    run = run_once(
-        spec_for_scenario(get_scenario("slow-receivers", prof), horizon=12.0)
-    )
-    res = ScenarioResult.from_sim(run, profile=prof.name)
+    spec = spec_for_scenario(get_scenario("slow-receivers", prof), horizon=12.0)
+    return prof, run_once(spec)
+
+
+def test_from_sim_carries_provenance():
+    prof, run = _slow_receivers_run()
+    res = ScenarioResult.from_run(run, profile=prof.name)
     assert res.scenario == "slow-receivers"
     assert res.driver == "sim"
     assert res.source("atomicity") == "sim:delivery"
@@ -129,34 +130,21 @@ def test_from_sim_carries_provenance():
     assert pickle.loads(pickle.dumps(res)) == res
 
 
-def test_from_threaded_carries_skips_and_redundancy():
-    from repro.scenarios.runner import LiveScenarioReport
-
-    report = LiveScenarioReport(
-        scenario="fab",
-        driver="threaded",
-        n_nodes=8,
-        wall_seconds=1.0,
-        time_scale=0.1,
-        offers=100,
-        admitted=90,
-        delivered_total=700,
-        delivered_min=80,
-        delivered_max=95,
-        skipped=("topology/latency model: transport has real timing",),
-        skipped_count=1,
-        duplicates_seen=1400,
-    )
-    res = ScenarioResult.from_live(report, profile="test")
+def test_from_run_names_the_live_driver():
+    # a live run's RunResult flattens into the sim's vocabulary; only the
+    # provenance says which driver measured it
+    prof, run = _slow_receivers_run()
+    sim = ScenarioResult.from_run(run, profile=prof.name)
+    res = ScenarioResult.from_run(run, profile=prof.name, driver="threaded")
     assert res.driver == "threaded"
-    assert res.source("admitted") == "threaded:transport"
-    assert res.get("redundancy") == pytest.approx(2.0)
-    assert res.get("admit_fraction") == pytest.approx(0.9)
-    assert res.skipped == report.skipped
+    assert set(res.metrics) == set(sim.metrics)
+    assert res.source("input_rate") == "threaded:rates"
+    assert res.source("redundancy") == "threaded:gossip"
+    assert res.get("redundancy") == sim.get("redundancy")
     # wall-clock quantities must never become baseline metrics
     assert res.get("wall_seconds") is None
-    # and the sim-only expectations skip rather than fail on this driver
+    # every expectation is evaluated on a live result; none skips
     checks = evaluate_expectations(
-        (ReliabilityAtLeast(0.95), NoDroppedSenders(), RedundancyAtMost(3.0)), res
+        (ReliabilityAtLeast(0.5), NoDroppedSenders(), RedundancyAtMost(1e6)), res
     )
-    assert [c.verdict for c in checks] == ["SKIP", "SKIP", "PASS"]
+    assert [c.verdict for c in checks] == ["PASS", "PASS", "PASS"]

@@ -1,9 +1,12 @@
 """Tests for scenario execution on both drivers."""
 
+import math
+
 import pytest
 
 from repro.gossip.config import SystemConfig
 from repro.scenarios.conditions import BufferSqueeze, CorrelatedLoss
+from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import (
     LiveScenarioReport,
     run_scenario,
@@ -66,6 +69,17 @@ def test_threaded_run_delivers_and_reports():
     assert report.admitted > 0
     assert report.delivered_total > 0
     assert report.skipped == ()
+
+
+def test_threaded_run_summarises_the_window_with_adaptive_gauges():
+    spec = get_scenario("overload-baseline", smoke_profile()).with_horizon(12.0)
+    result = run_scenario_threaded(spec).result
+    assert result.spec.window == (4.0, 10.0)
+    assert result.delivery.messages > 0
+    assert 0 < result.input_rate <= result.offered_rate
+    # the live host samples every node's gauges once per round
+    for gauge in (result.allowed_rate_total, result.avg_age_mean, result.min_buff_mean):
+        assert math.isfinite(gauge)
 
 
 def test_threaded_run_injects_former_sim_only_conditions():

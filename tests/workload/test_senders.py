@@ -76,9 +76,9 @@ def test_sender_offers_at_configured_rate():
     collector = MetricsCollector()
     sender = Sender(sim, "s", proto, PeriodicArrivals(10.0), collector)
     sim.run(until=5.0)
-    assert sender.offered == pytest.approx(50, abs=2)
-    assert sender.admitted == sender.offered  # baseline admits instantly
-    assert collector.admitted.total == sender.admitted
+    assert collector.offered.total == pytest.approx(50, abs=2)
+    assert collector.admitted.total == collector.offered.total  # baseline admits instantly
+    assert len(sender.queue) == 0
 
 
 def test_sender_queues_when_throttled():
@@ -88,8 +88,8 @@ def test_sender_queues_when_throttled():
     sender = Sender(sim, "s", proto, PeriodicArrivals(10.0), collector)
     sim.run(until=10.0)
     # admitted tracks the token rate, not the offered rate
-    assert sender.admitted == pytest.approx(2.0 * 10.0, rel=0.2)
-    assert sender.offered > sender.admitted
+    assert collector.admitted.total == pytest.approx(2.0 * 10.0, rel=0.2)
+    assert collector.offered.total > collector.admitted.total
 
 
 def test_sender_bounded_queue_rejects_oldest():
@@ -100,9 +100,12 @@ def test_sender_bounded_queue_rejects_oldest():
         sim, "s", proto, PeriodicArrivals(20.0), collector, queue_limit=5
     )
     sim.run(until=10.0)
-    assert sender.rejected > 0
-    assert sender.queue_depth <= 5
-    assert collector.rejected.total == sender.rejected
+    assert collector.rejected.total > 0
+    assert len(sender.queue) <= 5
+    # every offer is admitted, still queued, or given up
+    assert collector.offered.total == (
+        collector.admitted.total + len(sender.queue) + collector.rejected.total
+    )
 
 
 def test_sender_start_stop_window():
@@ -113,7 +116,7 @@ def test_sender_start_stop_window():
         sim, "s", proto, PeriodicArrivals(10.0), collector, start=2.0, stop=4.0
     )
     sim.run(until=10.0)
-    assert sender.offered == pytest.approx(20, abs=3)
+    assert collector.offered.total == pytest.approx(20, abs=3)
     assert collector.offered.count(0.0, 2.0) == 0
     assert collector.offered.count(4.1, 10.0) == 0
 
