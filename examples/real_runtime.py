@@ -79,8 +79,8 @@ def main(seconds: int = 6) -> None:
     received = [cluster.protocol_of(n).stats.events_delivered for n in range(N)]
     stats = rules.stats
     print(f"\nevents delivered per node: min={min(received)} max={max(received)}")
-    print(f"chaos rules: {stats.sent} datagrams passed, {stats.dropped} lost, "
-          f"{stats.blocked} blocked by the partition, {stats.delayed} delayed")
+    print(f"chaos rules: {stats.delivered} datagrams passed, {stats.lost} lost, "
+          f"{stats.partitioned} blocked by the partition, {stats.delayed} delayed")
     print("Same protocol code as the simulator — only the driver (and its "
           "weather) changed.")
 

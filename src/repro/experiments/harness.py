@@ -321,8 +321,9 @@ def summarise(
 ) -> RunResult:
     """Summarise a stopped run over ``spec``'s window, whatever ran it:
     its collector, its driver's ``size_log``, every node's duplicate
-    summaries and unique deliveries, and the sim network's fault
-    counters (``None`` off the simulator: they read 0)."""
+    summaries and unique deliveries, and its wire rule set's counters
+    (:class:`~repro.sim.network.NetworkStats`; ``None`` for a live host
+    without rules: they read 0)."""
     since, until = spec.window
     m = metrics
     group_size = size_log[-1][1]

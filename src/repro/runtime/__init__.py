@@ -35,7 +35,6 @@ from repro.runtime.process_cluster import (
 from repro.runtime.worker import WorkerConfig, worker_main
 from repro.runtime.transport import (
     ChaosRules,
-    ChaosStats,
     InMemoryHub,
     InMemoryTransport,
     Transport,
@@ -50,7 +49,6 @@ __all__ = [
     "InMemoryTransport",
     "UdpTransport",
     "ChaosRules",
-    "ChaosStats",
     "ThreadedCluster",
     "ProcessCluster",
     "WorkerConfig",

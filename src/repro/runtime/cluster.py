@@ -27,10 +27,13 @@ address comes from the port map.
 Because this half of the methodology exists to *validate the
 simulator*, it reuses the exact protocol classes and metrics pipeline
 through the common :class:`~repro.driver.Driver` base class. Fault
-parity: a :class:`~repro.runtime.transport.ChaosRules` set (pass
-``chaos=``, or let :meth:`ThreadedCluster.from_scenario` build it from
-the scenario's network environment) decides every send with the
-sender's seeded stream, and delays ride ``loop.call_later``;
+parity: a :class:`~repro.runtime.transport.ChaosRules` set — the
+class the simulated :class:`~repro.sim.network.Network` owns as
+``network.rules`` (pass ``chaos=``, or let
+:meth:`ThreadedCluster.from_scenario` build it from the scenario's
+network environment) — decides every send with the sender's seeded
+stream and counts what it did in ``chaos.stats`` (datagrams put on the
+hop count as ``delivered``), and delays ride ``loop.call_later``;
 membership may be partial (lpbcast views gossiped over the wire); and
 nodes crash, restart, join and leave while the group runs — the live
 counterparts of :class:`~repro.workload.cluster.SimCluster`'s
@@ -252,14 +255,14 @@ class LiveNode:
         if verdict > 0.0:
             host._loop.call_later(verdict * host.scale, self._send_late, dest, data)
         elif self._put(route, data):
-            rules.note_sent()
+            rules.stats.delivered += 1
 
     def _send_late(self, dest: Any, data: bytes) -> None:
         # a delayed datagram racing the sender's shutdown, or a receiver
         # that left the memory hop meanwhile, is lost like on the wire
         route = self.host._routes.get(dest)
         if self.alive and route is not None and self._put(route, data):
-            self.host.chaos.note_sent()
+            self.host.chaos.stats.delivered += 1
 
     def _put(self, route: Any, data: bytes) -> bool:
         """One datagram onto the hop: a loop hand-off or a ``sendto``."""

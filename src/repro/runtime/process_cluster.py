@@ -23,10 +23,10 @@ runs, its nodes on one event loop over real UDP sockets
 4. collects one :class:`~repro.scenarios.runner.LiveScenarioReport`
    per worker — its shard's report, built by the same
    :func:`~repro.scenarios.runner.live_report` as the threaded
-   driver's — and its collector, or raises the first worker's
-   ``("failed", id, reason)``; folds the shards into one report
-   (:func:`fold_reports`) whose ``result`` summarises the merged
-   collectors, and tears the workers down, escalating join → terminate
+   driver's — with its collector and its rule set's wire counters, or
+   raises the first worker's ``("failed", id, reason)``; folds the
+   shards into one report (:func:`fold_reports`) whose ``result``
+   summarises the merged collectors and the summed counters, and tears the workers down, escalating join → terminate
    → kill so no process ever outlives the run.
 
 Scenario lowering itself (chaos windows, churn, crash/restart, feeder
@@ -51,6 +51,7 @@ from typing import Optional, Sequence
 from repro.runtime.cluster import ThreadedCluster
 from repro.runtime.worker import WorkerConfig, worker_main
 from repro.sim.faults import CrashWindow
+from repro.sim.network import NetworkStats
 from repro.sim.rng import derive_seed
 
 __all__ = [
@@ -274,13 +275,17 @@ class ProcessCluster:
             shards = self._collect(wall)
         finally:
             self._teardown()
-        report = fold_reports([r for r, _, _ in shards], self.n_workers, attempt + 1)
+        report = fold_reports([shard[0] for shard in shards], self.n_workers, attempt + 1)
         # every worker replays the whole schedule, so any shard's
         # group-size log is the group's
         metrics, size_log = shards[0][1], shards[0][2]
-        for _, collector, _ in shards[1:]:
+        for _, collector, _, _ in shards[1:]:
             metrics.merge(collector)
         self.metrics = metrics
+        net = NetworkStats()  # what every shard's rule set did, summed
+        for *_, stats in shards:
+            if stats is not None:
+                net.merge(stats)
         # lazy: the harness pulls in the simulator, which workers never need
         from repro.experiments.harness import spec_for_scenario, summarise
 
@@ -290,6 +295,7 @@ class ProcessCluster:
             size_log,
             report.duplicates_seen,
             report.delivered_total,
+            net,
         )
         return dataclasses.replace(report, result=result)
 
@@ -339,7 +345,7 @@ class ProcessCluster:
         return ""
 
     def _collect(self, wall: float) -> list:
-        """Every worker's ``(report, collector, size log)``."""
+        """Every worker's ``(report, collector, size log, wire stats)``."""
         deadline = time.monotonic() + wall + self.RESULT_GRACE
         reports: list = []
         missing: list[int] = []
@@ -349,7 +355,7 @@ class ProcessCluster:
             try:
                 if conn.poll(remaining):
                     msg = conn.recv()
-                    if isinstance(msg, tuple) and len(msg) == 4 and msg[0] == "result":
+                    if isinstance(msg, tuple) and len(msg) == 5 and msg[0] == "result":
                         report = msg[1:]
                     elif isinstance(msg, tuple) and len(msg) == 3 and msg[0] == "failed":
                         raise RuntimeError(f"worker {msg[1]} failed: {msg[2]}")

@@ -16,11 +16,12 @@ control protocol over a :mod:`multiprocessing` pipe:
   and, from the :func:`time.monotonic` instant ``at`` that every shard
   shares, runs the shard's rounds, feeders and timed conditions for
   ``wall_seconds``.
-* ``("result", LiveScenarioReport, MetricsCollector, size_log)`` — sent
-  back when the run completes: the shard's report, built by
-  :func:`~repro.scenarios.runner.live_report` exactly as the threaded
-  driver builds its own, with the shard's collector and group-size log
-  for the parent to merge; or ``("failed", id, reason)`` when something
+* ``("result", LiveScenarioReport, MetricsCollector, size_log,
+  NetworkStats)`` — sent back when the run completes: the shard's
+  report, built by :func:`~repro.scenarios.runner.live_report` exactly
+  as the threaded driver builds its own, with the shard's collector,
+  group-size log and rule-set counters (``None`` without rules) for the
+  parent to merge; or ``("failed", id, reason)`` when something
   raised inside the loop.
 
 Every worker replays the whole schedule: chaos windows mutate its own
@@ -109,7 +110,8 @@ def _run(conn, cfg: WorkerConfig) -> Optional[tuple]:
     from repro.scenarios.runner import live_report
 
     report = live_report(cfg.spec, cluster, "process", cfg.wall_seconds)
-    return ("result", report, cluster.metrics, cluster.size_log)
+    net = None if cluster.chaos is None else cluster.chaos.stats
+    return ("result", report, cluster.metrics, cluster.size_log, net)
 
 
 def worker_main(conn) -> None:

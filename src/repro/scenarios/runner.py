@@ -164,7 +164,11 @@ class LiveScenarioReport:
 
 
 class _Feeder:
-    """Paces one sender's offers in spec seconds."""
+    """Paces one sender's offers in spec seconds.
+
+    The first offer falls at ``start``, then one per arrival interval,
+    the sim :class:`~repro.workload.senders.Sender`'s instants.
+    """
 
     def __init__(self, sender, seed: int) -> None:
         self.node = sender.node
@@ -172,7 +176,7 @@ class _Feeder:
         # sender nodes are ints by ScenarioSpec validation
         self.rng = Random(seed * 1_000_003 + sender.node)
         self.stop = sender.stop
-        self.next = sender.start + self.arrivals.next_interval(self.rng)
+        self.next = sender.start
 
     def advance(self) -> None:
         self.next += self.arrivals.next_interval(self.rng)
@@ -247,8 +251,9 @@ def live_report(
 
     The one builder of live reports: the threaded driver calls it on its
     host, and every process worker on its shard's host (the parent folds
-    the shards and summarises their merged collectors); a host of the
-    whole group summarises its own. Restarted nodes report their current
+    the shards and summarises their merged collectors and summed wire
+    counters); a host of the whole group summarises its own, its rule
+    set's ``stats`` included. Restarted nodes report their current
     incarnation — a fresh process's counts, exactly what a real redeploy
     would show.
     """
@@ -257,10 +262,16 @@ def live_report(
     duplicates = sum(getattr(s, "duplicates_seen", 0) for s in stats)
     injected, skipped = live_coverage(spec)
     chaos = cluster.chaos
+    net = None if chaos is None else chaos.stats
     result = None
     if cluster.hosted is None:
         result = summarise(
-            spec_for_scenario(spec), cluster.metrics, cluster.size_log, duplicates, sum(delivered)
+            spec_for_scenario(spec),
+            cluster.metrics,
+            cluster.size_log,
+            duplicates,
+            sum(delivered),
+            net,
         )
     return LiveScenarioReport(
         scenario=spec.name,
@@ -275,9 +286,9 @@ def live_report(
         skipped=skipped,
         duplicates_seen=duplicates,
         injected=injected,
-        chaos_eaten=0 if chaos is None else chaos.stats.eaten,
-        chaos_delayed=0 if chaos is None else chaos.stats.delayed,
-        chaos_oneway_dropped=0 if chaos is None else chaos.stats.oneway_blocked,
+        chaos_eaten=0 if net is None else net.eaten,
+        chaos_delayed=0 if net is None else net.delayed,
+        chaos_oneway_dropped=0 if net is None else net.oneway_blocked,
         decode_errors=cluster.decode_errors,
         send_failures=cluster.send_failures,
         bind_errors=cluster.bind_errors,

@@ -299,8 +299,9 @@ class ScenarioSpec:
         any network fault window (loss/partition/bandwidth — anything
         but a pure crash schedule) is present. The live host uses this to
         decide whether its sends consult a
-        :class:`~repro.runtime.transport.ChaosRules` set; crash windows
-        and churn act on nodes, not the wire, and need none.
+        :class:`~repro.sim.network.ChaosRules` set (the simulated network
+        always owns one); crash windows and churn act on nodes, not the
+        wire, and need none.
         """
         if self.topology is not None or self.baseline_loss is not None:
             return True
@@ -375,11 +376,11 @@ def lower_timed_conditions(
 ):
     """Lower a run's timed conditions onto ``(time, seq, thunk)`` triples.
 
-    The one lowering every driver shares. ``rules`` is the wire's rule
-    set — the simulator's :class:`~repro.sim.network.Network` or the
-    live host's :class:`~repro.runtime.transport.ChaosRules`, which
-    share every mutator name — and fault windows mutate it. ``target``
-    is the driver — :class:`~repro.workload.cluster.SimCluster` or
+    The one lowering every driver shares. ``rules`` is the wire's
+    :class:`~repro.sim.network.ChaosRules` — the simulated network's
+    ``network.rules`` or the live host's own — and fault windows mutate
+    it. ``target`` is the driver —
+    :class:`~repro.workload.cluster.SimCluster` or
     :class:`~repro.runtime.cluster.ThreadedCluster` — and takes
     ``set_capacity``, ``set_offered_rate``, ``crash_node``,
     ``join_node`` and ``leave_node`` calls, ignoring nodes (or senders)

@@ -1,10 +1,12 @@
-"""Simulated message transport with pluggable latency and loss models.
+"""The wire's rules and the simulated message transport.
 
-The :class:`Network` connects simulated processes by address. ``send``
-samples a latency (and possibly a loss decision) and schedules the
-receiver's handler on the simulator. Latency models, loss models and
-partitions compose independently so experiments can dial in exactly the
-network pathology they need.
+:class:`ChaosRules` is the one rule set every driver decides a send
+with: loss and latency models, partitions, one-way cuts, per-link loss
+and a bandwidth cap. The :class:`Network` connects simulated processes
+by address and owns one rule set as ``network.rules``; the live host
+(:mod:`repro.runtime.cluster`) consults its own on every datagram. A
+loss window, a partition or a cap is therefore one rule on both sides
+of the paper's simulator-vs-prototype check.
 
 The paper's experiments run on a 60-workstation Ethernet LAN; the default
 model is therefore a low, lightly-jittered latency with no loss. Loss and
@@ -15,7 +17,9 @@ correlated loss degrades gossip reliability, §5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+import time
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Hashable, Optional, Protocol
 
 from repro.sim.engine import Simulator
@@ -30,6 +34,7 @@ __all__ = [
     "BernoulliLoss",
     "BurstLoss",
     "NetworkStats",
+    "ChaosRules",
     "Network",
     "RateWindow",
     "build_partition_map",
@@ -41,14 +46,6 @@ Address = Hashable
 Handler = Callable[[Any, Address, float], None]
 
 
-# ----------------------------------------------------------------------
-# shared network-rule building blocks
-#
-# The live runtime's ChaosRules decide the same conditions this
-# simulated network models; partition semantics and bandwidth-window
-# accounting live here, once, so the drivers cannot silently diverge
-# (driver parity is asserted scenario-by-scenario in CI).
-# ----------------------------------------------------------------------
 def build_partition_map(groups) -> dict:
     """``address -> group id`` for a partition; unmentioned addresses
     share the implicit group ``-1`` and can still talk to each other."""
@@ -85,8 +82,8 @@ class RateWindow:
     Once ``rate`` messages have entered within a window, further sends
     in that window are refused — a blunt but deterministic model of a
     saturated link or switch. ``rate=None`` disables the cap. The clock
-    is the caller's (virtual time for the simulator, spec time for the
-    live chaos rules); only window identity ``int(now)`` matters.
+    is the rule set's bound clock (virtual time in the simulator, spec
+    time on the live host); only window identity ``int(now)`` matters.
     """
 
     __slots__ = ("rate", "_window", "_used")
@@ -216,23 +213,219 @@ class BurstLoss:
 
 @dataclass
 class NetworkStats:
-    """Counters maintained by :class:`Network`."""
+    """What a :class:`ChaosRules` set did to traffic, on any driver."""
 
-    sent: int = 0
-    delivered: int = 0
-    lost: int = 0
-    partitioned: int = 0
-    oneway_blocked: int = 0
-    link_lost: int = 0
-    no_route: int = 0
-    payload_items: int = 0
-    capped: int = 0
+    sent: int = 0  # judged by the rules
+    delivered: int = 0  # handed to a receiver (sim) or onto the live hop
+    lost: int = 0  # eaten by the loss model
+    partitioned: int = 0  # eaten by an open partition
+    oneway_blocked: int = 0  # eaten by a one-way (directed) cut
+    link_lost: int = 0  # eaten by the per-link loss matrix
+    no_route: int = 0  # addressed to no receiver
+    payload_items: int = 0  # application events carried (simulator only)
+    capped: int = 0  # eaten by the bandwidth cap
+    delayed: int = 0  # forwarded after a positive sampled latency
 
-    def reset(self) -> None:
-        self.sent = self.delivered = self.lost = 0
-        self.partitioned = self.no_route = self.payload_items = 0
-        self.oneway_blocked = self.link_lost = 0
-        self.capped = 0
+    @property
+    def eaten(self) -> int:
+        """Everything a rule ate (loss, cuts, link loss, cap)."""
+        return self.lost + self.partitioned + self.oneway_blocked + self.link_lost + self.capped
+
+    def merge(self, other: "NetworkStats") -> None:
+        """Add another rule set's counts (one shard's, say) into these."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+
+class ChaosRules:
+    """The wire's rule set: the one place every driver decides a send.
+
+    One class holds the loss model, the latency model, the symmetric
+    partition, the one-way cut, the per-link loss matrix and the
+    bandwidth cap, with their counters in ``stats``. The simulated
+    :class:`Network` owns one as ``network.rules``; the live host
+    consults its own on every datagram; and
+    :func:`~repro.scenarios.spec.lower_timed_conditions` opens and
+    closes fault windows on it for every driver. So the drivers cannot
+    silently diverge: a rule means the same on each (driver parity is
+    also asserted scenario by scenario in CI).
+
+    :meth:`plan` decides one send in the simulator's order: partition,
+    one-way cut, route, bandwidth cap, loss model, per-link loss, then
+    the latency draw. The deterministic rules run before the loss model,
+    so they never touch the RNG stream of drop decisions. The decision
+    RNG is the caller's (the simulated network's stream, or each live
+    node's own), so rule mutations never perturb a stream.
+
+    Thread-safety: the mutators and :meth:`plan` take one lock, because
+    the live host decides on its loop thread while callers mutate rules
+    from theirs, and a loss model may be stateful (:class:`BurstLoss`).
+    The simulator's single-threaded bulk paths (``Network.multicast``,
+    the columnar lane) read the rule fields directly; treat them as
+    read-only and change them through the mutators.
+
+    Time is the bound clock's (:meth:`bind_clock`): virtual seconds in
+    the simulator, spec seconds on the live host. Only the cap reads it.
+
+    Parameters
+    ----------
+    loss:
+        A :class:`LossModel`; ``None`` means :class:`NoLoss`.
+    latency:
+        A :class:`LatencyModel`; ``None`` forwards at once (delay 0).
+    """
+
+    def __init__(
+        self, loss: Optional[LossModel] = None, latency: Optional[LatencyModel] = None
+    ) -> None:
+        self._lock = threading.Lock()
+        self.loss: LossModel = loss if loss is not None else NoLoss()
+        self.latency = latency
+        self.partition_of: dict[Address, int] = {}
+        self.oneway_of: dict[Address, int] = {}
+        self.oneway_blocked: frozenset = frozenset()
+        self.link_loss: Optional[dict] = None  # sparse (src, dst) -> p
+        self.cap = RateWindow()
+        self._clock: Callable[[], float] = time.monotonic
+        self.stats = NetworkStats()
+
+    # ------------------------------------------------------------------
+    # mutators (any thread)
+    # ------------------------------------------------------------------
+    def bind_clock(self, clock: Callable[[], float]) -> None:
+        """Install the cap-accounting clock (``time.monotonic`` until then).
+
+        The simulator binds its virtual clock and the live host its
+        spec-second clock, so cap windows bucket per spec second on
+        every driver: same budget granularity, not just the same rate.
+        """
+        with self._lock:
+            self._clock = clock
+            self.cap.set(self.cap.rate)  # restart the current window
+
+    def set_loss(self, loss: Optional[LossModel]) -> None:
+        """Swap the loss model (``None``: :class:`NoLoss`)."""
+        with self._lock:
+            self.loss = loss if loss is not None else NoLoss()
+
+    def partition(self, groups) -> None:
+        """Split the group: messages may only cross within one group.
+
+        Addresses not mentioned in any group remain in the implicit group
+        ``-1`` and can still talk to each other.
+        """
+        partition_of = build_partition_map(groups)
+        with self._lock:
+            self.partition_of = partition_of
+
+    def heal(self) -> None:
+        """Remove any symmetric partition (one-way cuts are a separate knob)."""
+        with self._lock:
+            self.partition_of = {}
+
+    def partition_oneway(self, groups, blocked) -> None:
+        """Cut the *directed* group edges in ``blocked``.
+
+        ``groups`` splits addresses as in :meth:`partition`; ``blocked``
+        is an iterable of ``(src_group, dst_group)`` index pairs that can
+        no longer be crossed. Traffic in the reverse direction — and any
+        direction not listed — still flows. Independent of
+        :meth:`partition`: both cuts may be open at once.
+        """
+        oneway_of = build_partition_map(groups)
+        oneway_blocked = frozenset((a, b) for a, b in blocked)
+        with self._lock:
+            self.oneway_of = oneway_of
+            self.oneway_blocked = oneway_blocked
+
+    def heal_oneway(self) -> None:
+        """Remove any one-way cut."""
+        with self._lock:
+            self.oneway_of = {}
+            self.oneway_blocked = frozenset()
+
+    def set_link_loss(self, matrix: Optional[dict]) -> None:
+        """Open (or with ``None`` close) a sparse per-link loss matrix.
+
+        ``matrix`` maps ``(src, dst)`` to a loss probability; pairs not
+        in it are unaffected. Applied *after* the loss model, and only
+        draws from the RNG for pairs with an entry, so runs without link
+        loss consume an identical RNG stream.
+        """
+        frozen = dict(matrix) if matrix else None
+        with self._lock:
+            self.link_loss = frozen
+
+    def set_bandwidth_cap(self, rate: Optional[float]) -> None:
+        """Cap throughput at ``rate`` messages per second of the bound clock.
+
+        Accounted in one-second windows (:class:`RateWindow`): once
+        ``rate`` messages have passed within a window, further sends in
+        that window are eaten (``stats.capped``). ``None`` removes the cap.
+        """
+        window = RateWindow()
+        window.set(rate)  # validate outside the lock
+        with self._lock:
+            self.cap = window
+
+    # ------------------------------------------------------------------
+    # decisions
+    # ------------------------------------------------------------------
+    def quiet(self) -> bool:
+        """Whether no rule can eat a message (latency aside): the
+        draw-free test the simulator's bulk paths share."""
+        return (
+            type(self.loss) is NoLoss
+            and not self.partition_of
+            and not self.oneway_blocked
+            and self.link_loss is None
+            and self.cap.rate is None
+        )
+
+    def plan(self, src: Address, dst: Address, rng, routed: bool = True) -> Optional[float]:
+        """Decide one send: ``None`` eats it, else its delay (0.0: at once).
+
+        ``routed`` says whether ``dst`` has a receiver; an unrouted send
+        is counted in ``stats.no_route`` once the partition and the cut
+        have let it through. The whole decision runs inside the lock: the
+        loss model is shared by every sender and may mutate per call.
+        """
+        with self._lock:
+            stats = self.stats
+            stats.sent += 1
+            if crosses_partition(self.partition_of, src, dst):
+                stats.partitioned += 1
+                return None
+            if self.oneway_blocked and crosses_oneway(
+                self.oneway_of, self.oneway_blocked, src, dst
+            ):
+                stats.oneway_blocked += 1
+                return None
+            if not routed:
+                stats.no_route += 1
+                return None
+            if self.cap.rate is not None and self.cap.exceeded(self._clock()):
+                stats.capped += 1
+                return None
+            if self.loss.is_lost(src, dst, rng):
+                stats.lost += 1
+                return None
+            link_loss = self.link_loss
+            if link_loss is not None:
+                p = link_loss.get((src, dst))
+                if p is not None and rng.random() < p:
+                    stats.link_lost += 1
+                    return None
+            if self.latency is not None:
+                delay = self.latency.sample(src, dst, rng)
+                if delay > 0:
+                    stats.delayed += 1
+                    return delay
+        return 0.0
+
+    def close(self) -> None:
+        """Release the rule set; a no-op, kept for callers that pair every
+        rule set with a close (live delays ride the host's loop)."""
 
 
 class Network:
@@ -248,6 +441,10 @@ class Network:
     plain handlers are invoked once per message, unchanged. Both round
     dispatch modes share this path, so runs remain byte-identical across
     them.
+
+    Every send is decided by the network's :class:`ChaosRules`,
+    ``network.rules``; fault windows mutate it, and ``network.stats`` is
+    its counters.
 
     Parameters
     ----------
@@ -266,26 +463,16 @@ class Network:
         loss: Optional[LossModel] = None,
     ) -> None:
         self._sim = sim
-        self._latency = latency if latency is not None else UniformLatency()
-        self._loss = loss if loss is not None else NoLoss()
+        self.rules = ChaosRules(loss, latency if latency is not None else UniformLatency())
+        self.rules.bind_clock(lambda: sim.now)
+        self.stats = self.rules.stats
         self._rng = sim.rngs.stream("network")
         self._handlers: dict[Address, Handler] = {}
         self._batch_handlers: dict[Address, Callable] = {}
-        self._partition_of: dict[Address, int] = {}
-        # One-way partition (independent knob: may be open at the same
-        # time as a symmetric partition, a loss window or a cap).
-        self._oneway_of: dict[Address, int] = {}
-        self._oneway_blocked: frozenset = frozenset()
-        # Sparse per-link loss matrix ((src, dst) -> p); None when closed.
-        self._link_loss: Optional[dict] = None
-        # Bandwidth cap: at most _cap.rate messages may enter the network
-        # per one-second window; None disables the cap entirely.
-        self._cap = RateWindow()
         # (message, src) pairs queued per destination for the current
         # instant, drained by one _flush_pending event per timestamp.
         self._pending: dict[Address, list] = {}
         self._flush_scheduled = False
-        self.stats = NetworkStats()
 
     # ------------------------------------------------------------------
     # wiring
@@ -315,10 +502,6 @@ class Network:
         self._handlers.pop(address, None)
         self._batch_handlers.pop(address, None)
 
-    def set_loss(self, loss: Optional[LossModel]) -> None:
-        """Swap the loss model at runtime (fault injection)."""
-        self._loss = loss if loss is not None else NoLoss()
-
     def is_attached(self, address: Address) -> bool:
         """Whether ``address`` currently has a receiver."""
         return address in self._handlers
@@ -329,112 +512,20 @@ class Network:
         return list(self._handlers)
 
     # ------------------------------------------------------------------
-    # partitions
-    # ------------------------------------------------------------------
-    def partition(self, groups: list[list[Address]]) -> None:
-        """Split the network: messages may only cross within one group.
-
-        Addresses not mentioned in any group remain in the implicit group
-        ``-1`` and can still talk to each other.
-        """
-        self._partition_of = build_partition_map(groups)
-
-    def heal(self) -> None:
-        """Remove any symmetric partition (one-way cuts are a separate knob)."""
-        self._partition_of = {}
-
-    def partition_oneway(self, groups: list[list[Address]], blocked) -> None:
-        """Cut the *directed* group edges in ``blocked``.
-
-        ``groups`` splits addresses as in :meth:`partition`; ``blocked``
-        is an iterable of ``(src_group, dst_group)`` index pairs that can
-        no longer be crossed. Traffic in the reverse direction — and any
-        direction not listed — still flows. Independent of
-        :meth:`partition`: both cuts may be open at once.
-        """
-        self._oneway_of = build_partition_map(groups)
-        self._oneway_blocked = frozenset((a, b) for a, b in blocked)
-
-    def heal_oneway(self) -> None:
-        """Remove any one-way cut."""
-        self._oneway_of = {}
-        self._oneway_blocked = frozenset()
-
-    def _crosses_partition(self, src: Address, dst: Address) -> bool:
-        return crosses_partition(self._partition_of, src, dst)
-
-    # ------------------------------------------------------------------
-    # per-link loss
-    # ------------------------------------------------------------------
-    def set_link_loss(self, matrix: Optional[dict]) -> None:
-        """Open (or with ``None`` close) a sparse per-link loss matrix.
-
-        ``matrix`` maps ``(src, dst)`` to a loss probability; pairs not
-        in it are unaffected. Applied *after* the global loss model, and
-        only draws from the RNG for pairs with an entry, so runs without
-        link loss consume an identical RNG stream.
-        """
-        self._link_loss = dict(matrix) if matrix else None
-
-    # ------------------------------------------------------------------
-    # bandwidth cap
-    # ------------------------------------------------------------------
-    def set_bandwidth_cap(self, rate: Optional[float]) -> None:
-        """Cap network throughput at ``rate`` messages per second.
-
-        The cap is accounted in one-second windows of virtual time:
-        once ``rate`` messages have entered the network within a window,
-        further sends in that window are dropped (counted in
-        ``stats.capped``) — a blunt but deterministic model of a
-        saturated link or switch. ``None`` removes the cap.
-        """
-        self._cap.set(rate)
-
-    def _cap_exceeded(self) -> bool:
-        # Only called while a cap is set; checked after partition/route
-        # filtering and *before* the loss model so the RNG stream of an
-        # uncapped run is untouched by this feature.
-        if self._cap.exceeded(self._sim.now):
-            self.stats.capped += 1
-            return True
-        return False
-
-    # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
     def send(self, src: Address, dst: Address, message: Any, items: int = 1) -> bool:
         """Queue ``message`` from ``src`` to ``dst``.
 
         Returns True if the message was scheduled for delivery, False if
-        it was dropped (loss, partition, or unknown destination). ``items``
-        is an accounting hint (number of application events inside) used
-        for payload statistics only.
+        a rule ate it or ``dst`` has no receiver (:meth:`ChaosRules.plan`
+        decides). ``items`` is an accounting hint (number of application
+        events inside) used for payload statistics only.
         """
-        self.stats.sent += 1
         self.stats.payload_items += items
-        if self._crosses_partition(src, dst):
-            self.stats.partitioned += 1
+        delay = self.rules.plan(src, dst, self._rng, dst in self._handlers)
+        if delay is None:
             return False
-        if self._oneway_blocked and crosses_oneway(
-            self._oneway_of, self._oneway_blocked, src, dst
-        ):
-            self.stats.oneway_blocked += 1
-            return False
-        if dst not in self._handlers:
-            self.stats.no_route += 1
-            return False
-        if self._cap.rate is not None and self._cap_exceeded():
-            return False
-        if self._loss.is_lost(src, dst, self._rng):
-            self.stats.lost += 1
-            return False
-        link_loss = self._link_loss
-        if link_loss is not None:
-            p = link_loss.get((src, dst))
-            if p is not None and self._rng.random() < p:
-                self.stats.link_lost += 1
-                return False
-        delay = self._latency.sample(src, dst, self._rng)
         self._sim.schedule(delay, self._deliver, dst, message, src)
         return True
 
@@ -442,13 +533,14 @@ class Network:
         """Queue one ``message`` from ``src`` to every address in ``dsts``.
 
         The batched counterpart of calling :meth:`send` once per
-        destination: statistics are updated in bulk, the loss/latency
-        models are consulted per destination in ``dsts`` order (so RNG
-        consumption — and therefore the whole run — is identical to the
-        per-send path), and destinations whose sampled delays coincide are
-        delivered by a single scheduled event. With a draw-free model pair
-        like :class:`ConstantLatency` + :class:`NoLoss`, a whole fanout's
-        deliveries collapse into one heap entry.
+        destination: it reads the same rule fields in bulk and applies
+        them in :meth:`ChaosRules.plan`'s order, statistics are updated
+        in bulk, the loss/latency models are consulted per destination
+        in ``dsts`` order (so RNG consumption — and therefore the whole
+        run — is identical to the per-send path), and destinations whose
+        sampled delays coincide are delivered by a single scheduled
+        event. With :class:`ConstantLatency` and a quiet rule set, a
+        whole fanout's deliveries collapse into one heap entry.
 
         Returns the number of destinations actually scheduled.
         """
@@ -457,38 +549,35 @@ class Network:
         stats.sent += n
         stats.payload_items += items * n
         handlers = self._handlers
-        partition_of = self._partition_of
-        partition_get = partition_of.get if partition_of else None
-        src_group = partition_get(src, -1) if partition_get is not None else -1
-        oneway_blocked = self._oneway_blocked
-        oneway_get = self._oneway_of.get if oneway_blocked else None
-        src_oneway = oneway_get(src, -1) if oneway_get is not None else -1
-        loss = self._loss
-        lossless = type(loss) is NoLoss
-        link_loss = self._link_loss
-        rng = self._rng
-        latency = self._latency
+        rules = self.rules
+        latency = rules.latency
         fixed_delay = latency.delay if type(latency) is ConstantLatency else None
-        cap_rate = self._cap.rate
-        if (
-            fixed_delay is not None
-            and lossless
-            and partition_get is None
-            and not oneway_blocked
-            and link_loss is None
-            and cap_rate is None
-        ):
-            # Draw-free models, no partition: every destination shares one
-            # delay and nothing consults the RNG, so the whole fanout
+        if fixed_delay is not None and rules.quiet():
+            # Draw-free models, no rule in force: every destination shares
+            # one delay and nothing consults the RNG, so the whole fanout
             # reduces to a membership filter and a single scheduled event.
             batch = [dst for dst in dsts if dst in handlers]
             missing = n - len(batch)
             if missing:
                 stats.no_route += missing
             if batch:
+                if fixed_delay > 0:
+                    stats.delayed += len(batch)
                 self._sim.post(fixed_delay, self._deliver_batch, tuple(batch), message, src)
             return len(batch)
-        post = self._sim.post
+        partition_of = rules.partition_of
+        partition_get = partition_of.get if partition_of else None
+        src_group = partition_get(src, -1) if partition_get is not None else -1
+        oneway_blocked = rules.oneway_blocked
+        oneway_get = rules.oneway_of.get if oneway_blocked else None
+        src_oneway = oneway_get(src, -1) if oneway_get is not None else -1
+        cap = rules.cap
+        cap_on = cap.rate is not None
+        now = self._sim.now
+        loss = rules.loss
+        lossless = type(loss) is NoLoss
+        link_loss = rules.link_loss
+        rng = self._rng
         scheduled = 0
         batch_delay = -1.0
         batch = []
@@ -502,7 +591,8 @@ class Network:
             if dst not in handlers:
                 stats.no_route += 1
                 continue
-            if cap_rate is not None and self._cap_exceeded():
+            if cap_on and cap.exceeded(now):
+                stats.capped += 1
                 continue
             if not lossless and loss.is_lost(src, dst, rng):
                 stats.lost += 1
@@ -517,13 +607,18 @@ class Network:
                 batch.append(dst)
             else:
                 if batch:
-                    post(batch_delay, self._deliver_batch, tuple(batch), message, src)
+                    self._post_batch(batch_delay, batch, message, src)
                 batch = [dst]
                 batch_delay = delay
             scheduled += 1
         if batch:
-            post(batch_delay, self._deliver_batch, tuple(batch), message, src)
+            self._post_batch(batch_delay, batch, message, src)
         return scheduled
+
+    def _post_batch(self, delay: float, batch: list, message: Any, src: Address) -> None:
+        if delay > 0:
+            self.stats.delayed += len(batch)
+        self._sim.post(delay, self._deliver_batch, tuple(batch), message, src)
 
     def _enqueue(self, dst: Address, message: Any, src: Address) -> None:
         # Batch-handled destinations queue bare messages (their handler

@@ -53,10 +53,10 @@ regime:
 * the network's multicast rule order (partition → one-way cut → route →
   bandwidth cap → loss → per-link loss, then one constant delay) is
   replicated per message without routing anything through the heap, and
-  the cap/partition/link state is *read live from the network object* at
-  each tick, so fault windows opened and closed by
-  :class:`~repro.sim.faults.FaultScript` lower onto the columnar lane
-  unchanged.
+  the cap/partition/link state is *read live from the network's rule
+  set* (``network.rules``) at each tick, so fault windows opened and
+  closed by :class:`~repro.sim.faults.FaultScript` lower onto the
+  columnar lane unchanged.
 
 State layout
 ------------
@@ -491,6 +491,7 @@ class VectorRoundExecutor:
         self.system = system
         self.n = n_nodes
         self._network = network
+        self._rules = network.rules
         self.net_stats = network.stats
         self._np = _np if use_numpy else None
         self._delay = latency.delay
@@ -666,20 +667,15 @@ class VectorRoundExecutor:
         ns = self.net_stats
         ns.sent += a * k
         ns.payload_items += int(sizes.sum() if np_ is not None else sum(sizes)) * k
-        net = self._network
-        if (
-            type(net._loss) is NoLoss
-            and not net._partition_of
-            and not net._oneway_blocked
-            and net._link_loss is None
-            and net._cap.rate is None
-        ):
+        if self._rules.quiet():
             # the draw-free multicast fast path: every message survives
             n_sched = a * k
         else:
-            rows, n_sched = self._chaos_filter(order, rows)
+            rows, n_sched = self._chaos_filter(order, rows, now)
         if not n_sched:
             return
+        if self._delay > 0:
+            ns.delayed += n_sched
         # holder rows of the live events some node does not know yet,
         # captured at tick time — the only events anyone can still
         # receive for the first time this instant
@@ -725,8 +721,8 @@ class VectorRoundExecutor:
         peers += peers >= np_.arange(a)[:, None]
         return emitters[peers]
 
-    def _chaos_filter(self, order, rows):
-        """Apply the network's live fault state to this tick's emissions.
+    def _chaos_filter(self, order, rows, now: float):
+        """Apply the network's rule set to this tick's emissions.
 
         Replicates :meth:`~repro.sim.network.Network.multicast`'s
         non-fast-path rule order per message — partition, one-way cut,
@@ -744,15 +740,15 @@ class VectorRoundExecutor:
         rectangle.
         """
         sampled = rows
-        net = self._network
+        rules = self._rules
         ns = self.net_stats
-        partition_of = net._partition_of
+        partition_of = rules.partition_of
         pget = partition_of.get if partition_of else None
-        oneway_blocked = net._oneway_blocked
-        oget = net._oneway_of.get if oneway_blocked else None
-        cap_on = net._cap.rate is not None
+        oneway_blocked = rules.oneway_blocked
+        oget = rules.oneway_of.get if oneway_blocked else None
+        cap = rules.cap
+        cap_on = cap.rate is not None
         if pget is not None or oget is not None or cap_on:
-            cap_exceeded = net._cap_exceeded
             rows = _as_lists(rows)
             filtered: list[list[int]] = []
             for pi, row in enumerate(rows):
@@ -768,14 +764,15 @@ class VectorRoundExecutor:
                     if oget is not None and (so, oget(dst, -1)) in oneway_blocked:
                         ns.oneway_blocked += 1
                         continue
-                    if cap_on and cap_exceeded():
-                        continue  # counted in stats.capped by the network
+                    if cap_on and cap.exceeded(now):
+                        ns.capped += 1
+                        continue
                     keep(dst)
                 filtered.append(kept)
             rows = filtered
-        loss = net._loss
+        loss = rules.loss
         lossless = type(loss) is NoLoss
-        link_loss = net._link_loss
+        link_loss = rules.link_loss
         if link_loss is not None:
             # link matrices are sparse: on a tick where no message rides a
             # listed link the rule neither draws nor drops, which leaves
@@ -789,7 +786,7 @@ class VectorRoundExecutor:
             ):
                 link_loss = None
         if not lossless or link_loss is not None:
-            rng = net._rng
+            rng = self._network._rng
             np_ = self._np
             if np_ is not None and link_loss is None and type(loss) is BernoulliLoss:
                 # one bulk block of doubles for the whole tick, replayed

@@ -463,7 +463,8 @@ class SimCluster(Driver):
         """Schedule a run's timed conditions on the simulator.
 
         ``faults`` (:class:`~repro.sim.faults.FaultScript`) act on the
-        network, or on nodes for crash windows; ``churn`` and
+        network's rule set (``network.rules``), or on nodes for crash
+        windows; ``churn`` and
         ``resources`` on nodes and senders; ``baseline_loss`` is what a
         loss window restores on close (default: a perfect network).
         :func:`~repro.scenarios.spec.lower_timed_conditions` decides what
@@ -476,7 +477,7 @@ class SimCluster(Driver):
         from repro.scenarios.spec import lower_timed_conditions
 
         actions, not_lowered = lower_timed_conditions(
-            self.network, self, faults, churn, resources, baseline_loss
+            self.network.rules, self, faults, churn, resources, baseline_loss
         )
         if not_lowered:
             kinds = sorted({type(fault).__name__ for fault in not_lowered})

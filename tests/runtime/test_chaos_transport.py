@@ -14,7 +14,14 @@ from repro.runtime.transport import (
     UdpTransport,
 )
 from repro.scenarios.spec import ScenarioSpec, SenderSpec
-from repro.sim.network import BernoulliLoss, ConstantLatency, UniformLatency
+from repro.sim.engine import Simulator
+from repro.sim.network import (
+    BernoulliLoss,
+    BurstLoss,
+    ConstantLatency,
+    Network,
+    UniformLatency,
+)
 from repro.sim.rng import derive_seed
 
 
@@ -110,7 +117,7 @@ def test_partition_blocks_cross_group_only():
     assert rules.plan(0, 2, rng) is None  # across the split
     assert rules.plan(4, 5, rng) == 0.0  # unmentioned nodes share group -1
     assert rules.plan(0, 4, rng) is None  # named vs unmentioned differ
-    assert rules.stats.blocked == 2
+    assert rules.stats.partitioned == 2
     rules.heal()
     assert rules.plan(0, 2, rng) == 0.0
     rules.close()
@@ -159,7 +166,7 @@ def test_delayed_datagrams_arrive_late_but_arrive():
         assert record.receiver_count == 2
         assert record.last_delivery - record.broadcast_time >= 0.05
     assert rules.stats.delayed > 0
-    assert rules.stats.sent > 0
+    assert rules.stats.delivered > 0
 
 
 def test_delay_line_close_drops_pending():
@@ -182,7 +189,7 @@ def test_delay_line_close_drops_pending():
     rules.close()
     assert time.monotonic() - started < 1.0
     assert rules.stats.delayed > 0
-    assert rules.stats.sent == 0
+    assert rules.stats.delivered == 0
     assert cluster.protocol_of(1).stats.events_delivered == 0
 
 
@@ -195,7 +202,7 @@ def test_rule_updates_apply_mid_stream():
     rules.set_loss(None)
     verdicts.append(rules.plan(0, "d", rng))
     assert verdicts == [0.0, None, None, 0.0]
-    assert rules.stats.dropped == 2
+    assert rules.stats.lost == 2
 
 
 def test_oneway_cut_blocks_one_direction_only():
@@ -218,7 +225,7 @@ def test_link_loss_matrix_is_per_pair():
     assert rules.plan(0, 1, rng) is None
     assert rules.plan(1, 0, rng) == 0.0  # reverse pair not in the matrix
     assert rules.plan(0, 2, rng) == 0.0
-    assert rules.stats.link_dropped == 1
+    assert rules.stats.link_lost == 1
     rules.set_link_loss(None)
     assert rules.plan(0, 1, rng) == 0.0
     rules.close()
@@ -253,3 +260,61 @@ def test_restart_reseeds_the_same_chaos_stream():
         assert restarted.chaos_rng.getstate() == first_life
     finally:
         cluster.stop()
+
+
+def test_network_send_and_live_plan_decide_alike():
+    """One rule set, two callers: the simulated network's send and the
+    live host's plan see the same verdicts, delays, RNG draws and
+    counters on one send sequence that opens and closes every rule kind
+    in turn (and all of them at once)."""
+    nodes = range(6)
+    groups = [[0, 1, 2], [3, 4, 5]]
+    steps = [
+        lambda r: None,
+        lambda r: r.set_loss(BernoulliLoss(0.4)),
+        lambda r: r.set_loss(BurstLoss(p_enter=0.3, p_exit=0.3, p_bad=0.9)),
+        lambda r: r.set_loss(None),
+        lambda r: r.partition(groups),
+        lambda r: r.heal(),
+        lambda r: r.partition_oneway(groups, blocked=[(0, 1)]),
+        lambda r: r.heal_oneway(),
+        lambda r: r.set_link_loss({(0, 1): 0.5, (2, 3): 1.0, (4, 0): 0.2}),
+        lambda r: r.set_link_loss(None),
+        lambda r: r.set_bandwidth_cap(7.0),
+        lambda r: r.set_bandwidth_cap(None),
+        lambda r: (
+            r.set_loss(BernoulliLoss(0.2)),
+            r.partition([[0, 1, 2, 3], [4, 5]]),
+            r.partition_oneway(groups, blocked=[(1, 0)]),
+            r.set_link_loss({(0, 2): 0.5}),
+            r.set_bandwidth_cap(9.0),
+        ),
+    ]
+    latency = UniformLatency(0.01, 0.05)
+    sim = Simulator(seed=11)
+    net = Network(sim, latency=latency)
+    arrivals = {}
+    for node in nodes:
+        net.attach(node, lambda msg, src, now: arrivals.setdefault(msg, now))
+    live = ChaosRules(latency=latency)
+    live.bind_clock(lambda: sim.now)  # both caps count the same window
+    rng = random.Random()
+    rng.setstate(net._rng.getstate())
+    sim_verdicts, live_delays = [], []
+    for step in steps:
+        step(net.rules)
+        step(live)
+        for src in nodes:
+            for dst in nodes:
+                if src != dst:
+                    sim_verdicts.append(net.send(src, dst, len(sim_verdicts), items=0))
+                    live_delays.append(live.plan(src, dst, rng))
+    assert live.stats == net.stats
+    assert rng.getstate() == net._rng.getstate()
+    sim.run()
+    assert sim_verdicts == [delay is not None for delay in live_delays]
+    assert [arrivals.get(i) for i in range(len(live_delays))] == live_delays
+    # every rule kind bit somewhere in the sequence
+    stats = live.stats
+    assert min(stats.lost, stats.partitioned, stats.oneway_blocked) > 0
+    assert min(stats.link_lost, stats.capped, stats.delayed) > 0

@@ -46,7 +46,7 @@ def test_partition_then_heal():
         # have seen *nothing* while the partition stood
         assert all(snapshot[n] == 0 for n in right)
         assert any(snapshot[n] > 0 for n in left)
-        assert rules.stats.blocked > 0  # gossip did try to cross
+        assert rules.stats.partitioned > 0  # gossip did try to cross
 
         rules.heal()
         for i in range(5):
@@ -155,5 +155,5 @@ def test_stop_closes_chaos_delay_line():
     cluster.stop()
     assert time.monotonic() - started < 1.0
     assert rules.stats.delayed > 0
-    assert rules.stats.sent == 0
+    assert rules.stats.delivered == 0
     assert all(delivered(cluster)[n] == 0 for n in range(1, N))

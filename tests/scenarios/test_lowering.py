@@ -175,13 +175,13 @@ def test_back_to_back_windows_leave_the_later_loss_in_force_on_every_driver():
         for due, _, fire in live.actions:
             if due <= 10.0:
                 fire()
-        assert live.chaos._loss == BernoulliLoss(0.5)
+        assert live.chaos.loss == BernoulliLoss(0.5)
     finally:
         live.stop()
     # sim: the same schedule on the heap
     sim = SimCluster.from_scenario(spec)
     sim.run(until=10.5)
-    assert sim.network._loss == BernoulliLoss(0.5)
+    assert sim.network.rules.loss == BernoulliLoss(0.5)
 
 
 @dataclass(frozen=True)

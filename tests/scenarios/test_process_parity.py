@@ -59,6 +59,8 @@ def test_fault_scripted_scenario_runs_process_with_zero_skips():
     assert any("partition window" in item for item in report.injected)
     assert report.n_workers >= 2
     assert report.delivered_total > 0
+    # every worker's rule-set counters reach the parent's summary
+    assert report.result.net_partitioned > 0
 
 
 def test_churn_scenario_runs_process_with_zero_skips():

@@ -1,20 +1,25 @@
 """Tests for scenario execution on both drivers."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.gossip.config import SystemConfig
+from repro.metrics.collector import MetricsCollector
 from repro.scenarios.conditions import BufferSqueeze, CorrelatedLoss
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import (
     LiveScenarioReport,
+    _Feeder,
     run_scenario,
     run_scenario_threaded,
     smoke_profile,
 )
 from repro.scenarios.spec import ScenarioSpec, SenderSpec
+from repro.sim.engine import Simulator
 from repro.workload.cluster import SimCluster
+from repro.workload.senders import Sender
 
 
 def tiny_spec(**kw):
@@ -54,9 +59,9 @@ def test_sim_cluster_from_scenario_applies_schedules():
     assert cluster.protocol_of(7).buffer.capacity == 7
     # ...and the loss window engages on schedule
     cluster.run(until=6.0)
-    assert type(cluster.network._loss).__name__ == "BernoulliLoss"
+    assert type(cluster.network.rules.loss).__name__ == "BernoulliLoss"
     cluster.run(until=10.0)
-    assert type(cluster.network._loss).__name__ == "NoLoss"
+    assert type(cluster.network.rules.loss).__name__ == "NoLoss"
 
 
 def test_threaded_run_delivers_and_reports():
@@ -80,6 +85,8 @@ def test_threaded_run_summarises_the_window_with_adaptive_gauges():
     # the live host samples every node's gauges once per round
     for gauge in (result.allowed_rate_total, result.avg_age_mean, result.min_buff_mean):
         assert math.isfinite(gauge)
+    # no wire conditions, no rule set: the wire counters read 0
+    assert result.net_lost == result.net_partitioned == result.net_capped == 0
 
 
 def test_threaded_run_injects_former_sim_only_conditions():
@@ -142,3 +149,45 @@ def test_run_scenario_threaded_by_name():
     )
     assert report.scenario == "slow-receivers"
     assert report.delivered_total > 0
+
+
+@pytest.mark.parametrize(
+    "sender",
+    [
+        SenderSpec(0, 4.0, start=1.5, stop=6.0),
+        SenderSpec(0, 5.0, arrivals="onoff", on=1.0, off=1.5, start=0.5),
+    ],
+    ids=["periodic", "onoff"],
+)
+def test_live_feeder_offers_at_the_sim_senders_instants(sender):
+    """No host: the live feeder's offer instants over a short horizon
+    are the sim Sender's, first offer at ``start`` included."""
+    horizon = 8.0
+    feeder = _Feeder(sender, seed=5)
+    live = []
+    while feeder.next < horizon and (feeder.stop is None or feeder.next < feeder.stop):
+        live.append(feeder.next)
+        feeder.advance()
+
+    offered = []
+
+    class Instants:  # the sender's offer queue, reduced to its clock
+        def offer(self, payload, now):
+            offered.append(now)
+            return False
+
+    sim = Simulator(seed=5)
+    protocol = SimpleNamespace(node_id=sender.node)
+    sim_sender = Sender(
+        sim,
+        ("sender", sender.node),
+        protocol,
+        sender.build_arrivals(),
+        MetricsCollector(),
+        start=sender.start,
+        stop=sender.stop,
+    )
+    sim_sender.queue = Instants()
+    sim.run(until=horizon - 1e-9)
+    assert live == offered
+    assert live[0] == sender.start

@@ -59,6 +59,15 @@ def test_fault_scripted_scenario_runs_threaded_with_zero_skips():
     assert report.delivered_total > 0
 
 
+def test_threaded_result_reports_the_wire_counters():
+    # the host's rule set counts what it ate, and the windowed result
+    # reports it in the sim's fields
+    spec = get_scenario("correlated-loss", smoke_profile()).with_horizon(8.0)
+    result = run_scenario_threaded(spec).result
+    assert result.net_lost > 0
+    assert result.net_partitioned == result.net_capped == 0
+
+
 def test_asymmetric_scenario_runs_threaded_with_zero_skips():
     spec = get_scenario("asymmetric-uplink", smoke_profile()).with_horizon(8.0)
     report = run_scenario_threaded(spec)

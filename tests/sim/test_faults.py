@@ -19,7 +19,9 @@ from repro.sim.network import ConstantLatency, Network
 
 def schedule(sim, net, script, baseline_loss=None):
     """Put a script's lowered windows on a bare simulator's heap."""
-    actions, _ = lower_timed_conditions(net, None, script, baseline_loss=baseline_loss)
+    actions, _ = lower_timed_conditions(
+        net.rules, None, script, baseline_loss=baseline_loss
+    )
     for time, _, fire in actions:
         sim.schedule_at(time, fire)
 
@@ -182,7 +184,7 @@ def test_baseline_loss_restored():
     baseline = BernoulliLoss(p=0.0)  # distinguishable sentinel
     schedule(sim, net, FaultScript().loss(1.0, 1.0, 1.0), baseline_loss=baseline)
     sim.run(until=3.0)
-    assert net._loss is baseline
+    assert net.rules.loss is baseline
 
 
 def test_bandwidth_cap_window_caps_and_releases():

@@ -73,7 +73,7 @@ def test_multicast_respects_partitions_and_detach():
     log = []
     for n in range(4):
         collect(net, n, log)
-    net.partition([[0, 1], [2]])
+    net.rules.partition([[0, 1], [2]])
     scheduled = net.multicast(0, (1, 2, 3, 5), "m")
     # 1 shares the partition; 2 is across it; 3 and 5 sit in the implicit
     # group -1, also across — the partition check precedes routing,
@@ -98,7 +98,7 @@ def test_partitioned_multicast_matches_sequential_sends():
         log = []
         for n in range(8):
             collect(net, n, log)
-        net.partition([[0, 1, 2, 3], [4, 5, 6, 7]])
+        net.rules.partition([[0, 1, 2, 3], [4, 5, 6, 7]])
         for _round in range(25):
             if batched:
                 net.multicast(0, (1, 2, 4, 3, 5, 6), "m")

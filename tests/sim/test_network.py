@@ -85,7 +85,7 @@ def test_partition_blocks_cross_groups(sim):
     boxes = {n: [] for n in "abc"}
     for n in "abc":
         net.attach(n, collect(boxes[n]))
-    net.partition([["a"], ["b", "c"]])
+    net.rules.partition([["a"], ["b", "c"]])
     assert not net.send("a", "b", "x")
     assert net.send("b", "c", "y")
     sim.run()
@@ -99,8 +99,8 @@ def test_heal_restores_connectivity(sim):
     inbox = []
     net.attach("a", collect([]))
     net.attach("b", collect(inbox))
-    net.partition([["a"], ["b"]])
-    net.heal()
+    net.rules.partition([["a"], ["b"]])
+    net.rules.heal()
     assert net.send("a", "b", "x")
     sim.run()
     assert len(inbox) == 1
@@ -111,7 +111,7 @@ def test_unlisted_addresses_share_default_partition(sim):
     inbox = []
     net.attach("x", collect([]))
     net.attach("y", collect(inbox))
-    net.partition([["a"]])  # x and y are both in the implicit group
+    net.rules.partition([["a"]])  # x and y are both in the implicit group
     assert net.send("x", "y", "m")
 
 
@@ -159,13 +159,13 @@ def test_oneway_partition_is_directed(sim):
     a_in, b_in = [], []
     net.attach("a", collect(a_in))
     net.attach("b", collect(b_in))
-    net.partition_oneway([["a"], ["b"]], blocked=[(0, 1)])
+    net.rules.partition_oneway([["a"], ["b"]], blocked=[(0, 1)])
     assert net.send("a", "b", "x") is False  # blocked direction
     assert net.send("b", "a", "y") is True  # reverse flows
     sim.run()
     assert b_in == [] and len(a_in) == 1
     assert net.stats.oneway_blocked == 1
-    net.heal_oneway()
+    net.rules.heal_oneway()
     assert net.send("a", "b", "x") is True
 
 
@@ -187,14 +187,14 @@ def test_link_loss_only_touches_matrix_pairs(sim):
     net.attach("a", collect([]))
     net.attach("b", collect(b_in))
     net.attach("c", collect(c_in))
-    net.set_link_loss({("a", "b"): 1.0})
+    net.rules.set_link_loss({("a", "b"): 1.0})
     for _ in range(5):
         net.send("a", "b", "x")
         net.send("a", "c", "x")
     sim.run()
     assert b_in == [] and len(c_in) == 5
     assert net.stats.link_lost == 5
-    net.set_link_loss(None)
+    net.rules.set_link_loss(None)
     assert net.send("a", "b", "x") is True
 
 
@@ -205,7 +205,7 @@ def test_link_loss_draws_rng_only_for_matrix_pairs(sim):
     net = Network(sim, latency=ConstantLatency(0.01))
     for addr in ("a", "b", "c"):
         net.attach(addr, collect([]))
-    net.set_link_loss({("a", "b"): 0.5})
+    net.rules.set_link_loss({("a", "b"): 0.5})
     state_before = net._rng.getstate()
     net.send("a", "c", "x")  # not in the matrix
     assert net._rng.getstate() == state_before
@@ -218,8 +218,8 @@ def test_multicast_respects_oneway_and_link_loss(sim):
     inboxes = {addr: [] for addr in ("a", "b", "c", "d")}
     for addr, box in inboxes.items():
         net.attach(addr, collect(box))
-    net.partition_oneway([["a"], ["b"]], blocked=[(0, 1)])
-    net.set_link_loss({("a", "c"): 1.0})
+    net.rules.partition_oneway([["a"], ["b"]], blocked=[(0, 1)])
+    net.rules.set_link_loss({("a", "c"): 1.0})
     delivered = net.multicast("a", ["b", "c", "d"], "x")
     sim.run()
     assert delivered == 1  # only d: b is cut one-way, c's link always loses

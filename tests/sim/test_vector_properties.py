@@ -80,7 +80,7 @@ def _fingerprint(cluster: SimCluster) -> tuple:
         stats,
         (net.sent, net.delivered, net.lost, net.partitioned,
          net.oneway_blocked, net.link_lost, net.capped, net.no_route,
-         net.payload_items),
+         net.payload_items, net.delayed),
     )
 
 
