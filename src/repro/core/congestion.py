@@ -56,15 +56,15 @@ class CongestionEstimator:
             raise ValueError("min_buff must be >= 1")
         # Forget accounted events that have left the real buffer; their
         # ids can never be re-buffered (dedup) so they are dead weight.
-        if self._accounted:
-            self._accounted = {eid for eid in self._accounted if eid in buffer}
-        excess = len(buffer) - len(self._accounted) - min_buff
+        accounted = self._accounted
+        if accounted:  # walks the (smaller) accounted set at C speed
+            accounted = self._accounted = buffer.ids() & accounted
+        excess = len(buffer) - len(accounted) - min_buff
         if excess <= 0:
             return 0
-        victims = buffer.oldest_excluding(excess, self._accounted)
-        for event_id, age in victims:
-            self._avg.update(age)
-            self._accounted.add(event_id)
+        victims = buffer.oldest_excluding(excess, accounted)
+        self._avg.update_many([age for _id, age in victims])
+        accounted.update([event_id for event_id, _age in victims])
         self.events_accounted += len(victims)
         return len(victims)
 

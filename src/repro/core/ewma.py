@@ -10,7 +10,7 @@ traffic — fast reaction). The update rule is the paper's:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 __all__ = ["Ewma"]
 
@@ -34,12 +34,22 @@ class Ewma:
 
     def update(self, sample: float) -> float:
         """Fold one sample in and return the new average."""
-        self.samples += 1
-        if self._value is None:
-            self._value = float(sample)
-        else:
-            self._value = self.alpha * self._value + (1.0 - self.alpha) * sample
-        return self._value
+        return self.update_many((sample,))
+
+    def update_many(self, samples: Iterable[float]) -> Optional[float]:
+        """Fold samples in, in order, and return the new average."""
+        value = self._value
+        alpha = self.alpha
+        count = self.samples
+        for sample in samples:
+            count += 1
+            if value is None:
+                value = float(sample)
+            else:
+                value = alpha * value + (1.0 - alpha) * sample
+        self._value = value
+        self.samples = count
+        return value
 
     def reset(self, initial: Optional[float] = None) -> None:
         self._value = initial

@@ -233,20 +233,20 @@ class Driver(abc.ABC):
         return SystemConfig()
 
     def _bind_deliver(self, node_id: Any):
-        """Deliver callback wired into ``node_id``'s protocol instance."""
-        collector = self.metrics
+        """Per-batch deliver callback wired into ``node_id``'s protocol."""
+        on_deliver_many = self.metrics.on_deliver_many
 
-        def deliver_fn(event_id, payload, now):
-            collector.on_deliver(node_id, event_id, now)
+        def deliver_fn(event_ids, payloads, now):
+            on_deliver_many(node_id, event_ids, now)
 
         return deliver_fn
 
     def _bind_drop(self, node_id: Any):
-        """Drop callback wired into ``node_id``'s protocol instance."""
-        collector = self.metrics
+        """Per-removal drop callback wired into ``node_id``'s protocol."""
+        on_drop_bulk = self.metrics.on_drop_bulk
 
-        def drop_fn(event_id, age, reason, now):
-            collector.on_drop(node_id, event_id, age, reason, now)
+        def drop_fn(reason, event_ids, ages, now):
+            on_drop_bulk(reason, now, ages)
 
         return drop_fn
 

@@ -24,7 +24,7 @@ the paper builds on (its Figure 1), plus the data structures it needs:
 from repro.gossip.bimodal import BimodalProtocol, BimodalStats
 from repro.gossip.recovery import BuffererBimodalProtocol, rendezvous_bufferers
 from repro.gossip.semantics import KeyedPayloadPolicy, SemanticLpbcastProtocol
-from repro.gossip.buffer import DroppedEvent, EventBuffer
+from repro.gossip.buffer import EventBuffer
 from repro.gossip.config import SystemConfig
 from repro.gossip.dedup import DedupStore
 from repro.gossip.events import EventId, EventSummary, make_event_id
@@ -42,7 +42,6 @@ __all__ = [
     "EventSummary",
     "make_event_id",
     "EventBuffer",
-    "DroppedEvent",
     "DedupStore",
     "SystemConfig",
     "GossipMessage",

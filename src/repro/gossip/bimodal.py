@@ -22,9 +22,9 @@ integration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
-from repro.gossip.buffer import DroppedEvent, EventBuffer
+from repro.gossip.buffer import Dropped, EventBuffer
 from repro.gossip.config import SystemConfig
 from repro.gossip.dedup import DedupStore
 from repro.gossip.events import EventColumns, EventId, EventSummary
@@ -99,8 +99,8 @@ class BimodalProtocol(GossipProtocol):
         self._next_seq += 1
         self.dedup.add(event_id)
         self.stats.broadcasts += 1
-        self._deliver(event_id, payload, now)
-        self._note_drops(self.buffer.add(event_id, age=0, payload=payload), now)
+        self._deliver((event_id,), (payload,), now)
+        self._dropped("overflow", self.buffer.add(event_id, age=0, payload=payload), now)
         self._fresh.append(event_id)
         return event_id
 
@@ -120,7 +120,7 @@ class BimodalProtocol(GossipProtocol):
     def on_round(self, now: float) -> list[Emission]:
         self.stats.rounds += 1
         self.buffer.advance_round()
-        self._note_drops(self.buffer.drop_aged_out(self.config.max_age), now)
+        self._dropped("age_out", self.buffer.drop_aged_out(self.config.max_age), now)
         self._before_emission(now)
 
         header = self._emission_headers(now)
@@ -188,6 +188,8 @@ class BimodalProtocol(GossipProtocol):
             buffer.sync_ages(events.ids, events.ages)
         else:
             repaired = message.kind == "reply"
+            new_ids: list[EventId] = []
+            new_payloads: list[Any] = []
             for event_id, age, payload in events:
                 if not self.dedup.add(event_id):
                     self.stats.duplicates_seen += 1
@@ -195,10 +197,13 @@ class BimodalProtocol(GossipProtocol):
                     continue
                 if repaired:
                     self.stats.events_repaired += 1
-                self._deliver(event_id, payload, now)
+                new_ids.append(event_id)
+                new_payloads.append(payload)
                 buffer.stage(event_id, age=age, payload=payload)
+            if new_ids:
+                self._deliver(new_ids, new_payloads, now)
         self._after_receive(message, now)
-        self._note_drops(buffer.evict_overflow(), now)
+        self._dropped("overflow", buffer.evict_overflow(), now)
 
     def _answer_digest(self, message: GossipMessage, now: float) -> list[Emission]:
         events = message.events
@@ -238,7 +243,7 @@ class BimodalProtocol(GossipProtocol):
     # resources
     # ------------------------------------------------------------------
     def set_buffer_capacity(self, capacity: int, now: float) -> None:
-        self._note_drops(self.buffer.resize(capacity), now)
+        self._dropped("resize", self.buffer.resize(capacity), now)
 
     @property
     def buffer_capacity(self) -> int:
@@ -262,13 +267,15 @@ class BimodalProtocol(GossipProtocol):
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _deliver(self, event_id: EventId, payload: Any, now: float) -> None:
-        self.stats.events_delivered += 1
+    def _deliver(self, event_ids: Sequence[EventId], payloads: Sequence[Any], now: float) -> None:
+        self.stats.events_delivered += len(event_ids)
         if self._deliver_fn is not None:
-            self._deliver_fn(event_id, payload, now)
+            self._deliver_fn(event_ids, payloads, now)
 
-    def _note_drops(self, drops: list[DroppedEvent], now: float) -> None:
-        for d in drops:
-            self.stats.note_drop(d.reason)
-            if self._drop_fn is not None:
-                self._drop_fn(d.id, d.age, d.reason, now)
+    def _dropped(self, reason: str, dropped: Dropped, now: float) -> None:
+        ids, ages = dropped
+        if not ids:
+            return
+        self.stats.note_drops(reason, len(ids))
+        if self._drop_fn is not None:
+            self._drop_fn(reason, ids, ages, now)

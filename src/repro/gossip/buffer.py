@@ -16,14 +16,16 @@ per round per node) and scans for the oldest event on every overflow
 (O(buffer) per drop). Both are on the simulator's hottest path. We instead
 store, per event, the *anchor* ``round - age``: ageing everything is then a
 single increment of the buffer's round counter, and "oldest first" is a
-min-heap on ``(anchor, arrival_seq)``. Raising an age just lowers the
-anchor and lazily re-pushes a heap entry; stale heap entries are discarded
-on pop by validating against the live anchor, and the heap is rebuilt
-automatically when stale strands outnumber live entries ~4:1 (heavy
-duplicate age-raising would otherwise grow it without bound). The
-observable behaviour is
-identical to Figure 1 (the unit tests check this against a brute-force
-model).
+min-heap on ``(anchor, arrival_seq)``. An event's stored entry *is* its
+heap record, the tuple ``(anchor, arrival, id, payload)``: the
+``(anchor, arrival)`` keys are unique, so the heap never compares
+further. Raising an age replaces the entry with a lowered-anchor record
+and lazily pushes it; a popped record is live exactly when it is still
+the entry stored under its id (an identity check), stale strands are
+skipped, and the heap is rebuilt automatically when they outnumber live
+entries ~4:1 (heavy duplicate age-raising would otherwise grow it
+without bound). The observable behaviour is identical to Figure 1 (the
+unit tests check this against a brute-force model).
 
 Performance note — the cached columnar snapshot
 -----------------------------------------------
@@ -37,36 +39,37 @@ when only new events were staged, and a full rebuild only after a
 removal or an age raise. Batched duplicate folding goes through
 :meth:`sync_ages`, which walks the entry dict directly and defers heap
 maintenance to one :meth:`compact` pass when enough anchors moved.
+
+Performance note — columns per message
+--------------------------------------
+Under overload every received message stages a dozen or more new events
+and evicts as many, so the per-event work is done in columns: one
+:meth:`stage_many` call stages a message's new events, and every
+removal path (:meth:`evict_overflow`, :meth:`drop_aged_out`,
+:meth:`resize`, :meth:`add`) returns the ``(ids, ages)`` it removed as
+two lists instead of one record per drop. Figure 5(b)'s victim search,
+:meth:`oldest_excluding`, pops a copy of the heap in key order and
+stops at the ``count``-th live, non-excluded record: every live entry
+has exactly one live heap record and the keys are unique, so this is
+the sorted scan's answer at the cost of the victims (plus the excluded
+and stale records ahead of them) instead of the whole buffer.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import Any, Container, Iterable, Iterator, NamedTuple, Optional
+from typing import Any, Container, Iterable, KeysView, Optional, Sequence
 
 from repro.gossip.events import EventColumns, EventId, EventSummary
 
-__all__ = ["DroppedEvent", "EventBuffer"]
+__all__ = ["Dropped", "EventBuffer"]
 
+# (ids, ages) of the events one removal call dropped, in drop order
+Dropped = tuple[list[EventId], list[int]]
 
-class DroppedEvent(NamedTuple):
-    """An event removed from the buffer, with its age at drop time."""
-
-    id: EventId
-    age: int
-    payload: Any
-    reason: str  # "overflow" | "age_out" | "resize"
-
-
-class _Entry:
-    __slots__ = ("id", "anchor", "arrival", "payload")
-
-    def __init__(self, id: EventId, anchor: int, arrival: int, payload: Any) -> None:
-        self.id = id
-        self.anchor = anchor
-        self.arrival = arrival
-        self.payload = payload
+# One stored event, which is also its live heap record:
+# (anchor, arrival, id, payload). Indexed positionally on the hot paths.
+_Record = tuple[int, int, EventId, Any]
 
 
 class EventBuffer:
@@ -85,9 +88,9 @@ class EventBuffer:
             raise ValueError("buffer capacity must be >= 1")
         self._capacity = int(capacity)
         self._round = 0
-        self._entries: dict[EventId, _Entry] = {}
-        self._heap: list[tuple[int, int, EventId]] = []
-        self._arrivals = itertools.count()
+        self._entries: dict[EventId, _Record] = {}
+        self._heap: list[_Record] = []
+        self._next_arrival = 0
         # snapshot cache: wire columns valid at mutation version _snap_version
         self._version = 0
         self._snap_version = -1
@@ -98,7 +101,7 @@ class EventBuffer:
         # Entries staged since the cache was built (an O(new) append patch
         # on the next snapshot); None after any non-append mutation —
         # removal or anchor change — meaning a full rebuild is due.
-        self._snap_pending: Optional[list[_Entry]] = None
+        self._snap_pending: Optional[list[_Record]] = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -120,13 +123,14 @@ class EventBuffer:
 
     def age_of(self, event_id: EventId) -> int:
         """Current age of a stored event (KeyError if absent)."""
-        return self._round - self._entries[event_id].anchor
+        return self._round - self._entries[event_id][0]
 
     def payload_of(self, event_id: EventId) -> Any:
-        return self._entries[event_id].payload
+        return self._entries[event_id][3]
 
-    def ids(self) -> Iterator[EventId]:
-        return iter(self._entries)
+    def ids(self) -> KeysView[EventId]:
+        """The stored ids, as a live set-like view (arrival order)."""
+        return self._entries.keys()
 
     # ------------------------------------------------------------------
     # mutation
@@ -140,66 +144,75 @@ class EventBuffer:
         """
         self._round += 1
 
-    def add(self, event_id: EventId, age: int = 0, payload: Any = None) -> list[DroppedEvent]:
+    def add(self, event_id: EventId, age: int = 0, payload: Any = None) -> Dropped:
         """Insert a new event with the given age; evict overflow.
 
-        Returns the events dropped to make room (possibly including the
+        Returns the ``(ids, ages)`` dropped to make room (possibly the
         event just inserted, if it is itself the oldest). Duplicate ids
         raise ``ValueError`` — callers dedup first (Figure 1 checks
         ``eventIds`` before buffering).
         """
-        self.stage(event_id, age, payload)
+        self.stage_many((event_id,), (age,), (payload,))
         return self.evict_overflow()
 
     def stage(self, event_id: EventId, age: int = 0, payload: Any = None) -> None:
-        """Insert a new event *without* evicting overflow.
+        """Insert one new event *without* evicting overflow (see :meth:`stage_many`)."""
+        self.stage_many((event_id,), (age,), (payload,))
+
+    def stage_many(
+        self, ids: Sequence[EventId], ages: Sequence[int], payloads: Sequence[Any]
+    ) -> None:
+        """Insert new events, in order, *without* evicting overflow.
 
         Figure 1 folds a whole gossip message into ``events`` first and
         garbage-collects afterwards; Figure 5(b)'s congestion accounting
         runs in between, against the un-trimmed buffer. Receive paths
-        therefore ``stage`` every event, run the estimator hook, then
-        call :meth:`evict_overflow`.
+        therefore stage a message's new events, run the estimator hook,
+        then call :meth:`evict_overflow`. An id already buffered (or
+        repeated in ``ids``) or a negative age raises ``ValueError``
+        before anything is staged.
         """
-        if event_id in self._entries:
-            raise ValueError(f"event {event_id!r} already buffered")
-        if age < 0:
+        entries = self._entries
+        if not entries.keys().isdisjoint(ids):
+            raise ValueError(f"events {list(ids)!r} include an already buffered id")
+        if ages and min(ages) < 0:
             raise ValueError("age must be >= 0")
-        anchor = self._round - age
-        entry = _Entry(event_id, anchor, next(self._arrivals), payload)
-        self._entries[event_id] = entry
-        heapq.heappush(self._heap, (anchor, entry.arrival, event_id))
+        round_ = self._round
+        first = self._next_arrival
+        records = list(
+            zip(
+                [round_ - age for age in ages],
+                range(first, first + len(ids)),
+                ids,
+                payloads,
+            )
+        )
+        size = len(entries)
+        entries.update(zip(ids, records))
+        if len(entries) - size != len(records):  # an id repeated in ids
+            for event_id in ids:
+                entries.pop(event_id, None)
+            raise ValueError(f"events {list(ids)!r} repeat an id")
+        self._next_arrival = first + len(records)
+        heap = self._heap
+        push = heapq.heappush
+        for record in records:
+            push(heap, record)
         self._version += 1
         if self._snap_pending is not None:  # an append: the cache patches
-            self._snap_pending.append(entry)
-
-    def evict_overflow(self) -> list[DroppedEvent]:
-        """Trim to capacity, oldest first; returns what was dropped."""
-        return self._evict_overflow("overflow")
+            self._snap_pending.extend(records)
 
     def sync_age(self, event_id: EventId, age: int) -> bool:
         """Raise the stored age to ``max(current, age)``.
 
         Returns True if the age changed. Unknown ids are ignored (the
         duplicate may have already been purged locally) and return False.
-        Each raise lazily re-pushes a heap entry and strands the old one;
+        Each raise lazily re-pushes a heap record and strands the old one;
         under heavy duplicate traffic the strands are bounded by an
         automatic :meth:`compact` once the heap outgrows the live set
         (see the module's performance note).
         """
-        entry = self._entries.get(event_id)
-        if entry is None:
-            return False
-        anchor = self._round - age
-        if anchor < entry.anchor:
-            entry.anchor = anchor
-            self._version += 1
-            self._snap_pending = None
-            heap = self._heap
-            heapq.heappush(heap, (anchor, entry.arrival, event_id))
-            if len(heap) > 64 and len(heap) > 4 * len(self._entries):
-                self.compact()
-            return True
-        return False
+        return self.sync_ages((event_id,), (age,)) == 1
 
     def sync_ages(self, ids: Iterable[EventId], ages: Iterable[int]) -> int:
         """Raise stored ages to ``max(current, age)`` for many events.
@@ -211,22 +224,20 @@ class EventBuffer:
         ignored. Returns the number of ages actually raised.
         """
         round_ = self._round
-        raised: Optional[list[tuple[int, int, EventId]]] = None
+        entries = self._entries
+        raised: list[_Record] = []
         # map() dispatches the dict lookups at C speed; the Python body
-        # only runs the compare (and, rarely, the raise).
-        for entry, age in zip(map(self._entries.get, ids), ages):
-            if entry is None:
+        # only runs the compare (and, for a raise, the new record).
+        for record, age in zip(map(entries.get, ids), ages):
+            if record is None:
                 continue
             anchor = round_ - age
-            if anchor < entry.anchor:
-                entry.anchor = anchor
-                if raised is None:
-                    raised = [(anchor, entry.arrival, entry.id)]
-                else:
-                    raised.append((anchor, entry.arrival, entry.id))
-        if raised is None:
+            if anchor < record[0]:
+                record = (anchor, record[1], record[2], record[3])
+                entries[record[2]] = record
+                raised.append(record)
+        if not raised:
             return 0
-        entries = self._entries
         self._version += 1
         self._snap_pending = None
         heap = self._heap
@@ -235,13 +246,13 @@ class EventBuffer:
             # many strands — the heap comes out stale-free as a bonus.
             self.compact()
         else:
-            for item in raised:
-                heapq.heappush(heap, item)
+            for record in raised:
+                heapq.heappush(heap, record)
             if len(heap) > 64 and len(heap) > 4 * len(entries):
                 self.compact()
         return len(raised)
 
-    def drop_aged_out(self, max_age: int) -> list[DroppedEvent]:
+    def drop_aged_out(self, max_age: int) -> Dropped:
         """Remove every event with age strictly greater than ``max_age``."""
         cutoff = self._round - max_age  # drop anchors strictly below cutoff
         heap = self._heap
@@ -249,62 +260,64 @@ class EventBuffer:
             # The heap minimum bounds every live anchor (stale records
             # only ever carry anchors of entries that were since lowered
             # or removed), so nothing can be old enough to drop.
-            return []
-        dropped: list[DroppedEvent] = []
-        while self._heap:
-            anchor, arrival, event_id = self._heap[0]
-            entry = self._entries.get(event_id)
-            if entry is None or entry.anchor != anchor or entry.arrival != arrival:
-                heapq.heappop(self._heap)  # stale
-                continue
-            if anchor >= cutoff:
-                break
-            heapq.heappop(self._heap)
-            del self._entries[event_id]
-            self._version += 1
-            self._snap_pending = None
-            dropped.append(DroppedEvent(event_id, self._round - anchor, entry.payload, "age_out"))
-        return dropped
+            return [], []
+        get = self._entries.get
+        pop = heapq.heappop
+        victims = []
+        while heap and heap[0][0] < cutoff:
+            record = pop(heap)
+            if get(record[2]) is record:  # else a stale strand
+                victims.append(record)
+        return self._remove_records(victims)
 
-    def remove(self, event_id: EventId, reason: str = "obsolete") -> Optional[DroppedEvent]:
+    def remove(self, event_id: EventId) -> Optional[int]:
         """Remove a specific event (semantic purging, [11]-style).
 
-        Returns the removed record, or None if the id is not buffered.
-        The stale heap entry is discarded lazily on a later pop.
+        Returns the removed event's age, or None if the id is not
+        buffered. The stale heap record is discarded lazily on a later pop.
         """
-        entry = self._entries.pop(event_id, None)
-        if entry is None:
+        record = self._entries.pop(event_id, None)
+        if record is None:
             return None
         self._version += 1
         self._snap_pending = None
-        return DroppedEvent(event_id, self._round - entry.anchor, entry.payload, reason)
+        return self._round - record[0]
 
-    def resize(self, capacity: int) -> list[DroppedEvent]:
+    def resize(self, capacity: int) -> Dropped:
         """Change the capacity at runtime; evicts oldest events if shrinking."""
         if capacity < 1:
             raise ValueError("buffer capacity must be >= 1")
         self._capacity = int(capacity)
-        return self._evict_overflow("resize")
+        return self.evict_overflow()
 
-    def _evict_overflow(self, reason: str) -> list[DroppedEvent]:
-        dropped: list[DroppedEvent] = []
-        while len(self._entries) > self._capacity:
-            event_id, entry = self._pop_oldest()
-            dropped.append(
-                DroppedEvent(event_id, self._round - entry.anchor, entry.payload, reason)
-            )
-        return dropped
+    def evict_overflow(self) -> Dropped:
+        """Trim to capacity, oldest first; returns the dropped ``(ids, ages)``."""
+        excess = len(self._entries) - self._capacity
+        if excess <= 0:
+            return [], []
+        heap = self._heap
+        get = self._entries.get
+        pop = heapq.heappop
+        victims = []
+        while excess:
+            record = pop(heap)
+            if get(record[2]) is record:  # else a stale strand
+                victims.append(record)
+                excess -= 1
+        return self._remove_records(victims)
 
-    def _pop_oldest(self) -> tuple[EventId, _Entry]:
-        while True:
-            anchor, arrival, event_id = heapq.heappop(self._heap)
-            entry = self._entries.get(event_id)
-            if entry is None or entry.anchor != anchor or entry.arrival != arrival:
-                continue  # stale heap record
-            del self._entries[event_id]
+    def _remove_records(self, victims: list[_Record]) -> Dropped:
+        """Delete popped live records; their ``(ids, ages)``, in order."""
+        ids = [record[2] for record in victims]
+        if ids:
+            round_ = self._round
+            entries = self._entries
+            for event_id in ids:
+                del entries[event_id]
             self._version += 1
             self._snap_pending = None
-            return event_id, entry
+            return ids, [round_ - record[0] for record in victims]
+        return ids, []
 
     # ------------------------------------------------------------------
     # read paths used by the protocols
@@ -325,18 +338,18 @@ class EventBuffer:
             if refresh or not pending:
                 # Full rebuild (first snapshot, or a removal/age raise
                 # happened since the last one).
-                entries = list(self._entries.values())
-                self._snap_ids = tuple([e.id for e in entries])
-                self._snap_anchors = tuple([e.anchor for e in entries])
-                self._snap_payloads = tuple([e.payload for e in entries])
+                records = list(self._entries.values())
+                self._snap_ids = tuple([r[2] for r in records])
+                self._snap_anchors = tuple([r[0] for r in records])
+                self._snap_payloads = tuple([r[3] for r in records])
                 self._snap_id_set = frozenset(self._snap_ids)
             else:
                 # Append-only delta: the staged entries are exactly the
                 # (insertion-ordered) dict's tail — an O(new) patch.
-                fresh_ids = tuple([e.id for e in pending])
+                fresh_ids = tuple([r[2] for r in pending])
                 self._snap_ids += fresh_ids
-                self._snap_anchors += tuple([e.anchor for e in pending])
-                self._snap_payloads += tuple([e.payload for e in pending])
+                self._snap_anchors += tuple([r[0] for r in pending])
+                self._snap_payloads += tuple([r[3] for r in pending])
                 self._snap_id_set = self._snap_id_set.union(fresh_ids)
             self._snap_pending = []
             self._snap_version = self._version
@@ -364,22 +377,28 @@ class EventBuffer:
 
         Used by the congestion estimator (Figure 5(b)) to find the events
         a hypothetical buffer of size ``minBuff`` would have dropped.
-        Returns ``(id, age)`` pairs, oldest first. Does not remove anything.
+        Returns ``(id, age)`` pairs, oldest first. Does not remove
+        anything: it pops a copy of the heap (see the performance note).
         """
+        picked: list[tuple[EventId, int]] = []
         if count <= 0:
-            return []
+            return picked
         if exclude is None:
             exclude = ()
-        candidates = (
-            (e.anchor, e.arrival, eid)
-            for eid, e in self._entries.items()
-            if eid not in exclude
-        )
-        picked = heapq.nsmallest(count, candidates)
+        heap = self._heap[:]
+        get = self._entries.get
+        pop = heapq.heappop
         round_ = self._round
-        return [(eid, round_ - anchor) for anchor, _arrival, eid in picked]
+        while heap:
+            record = pop(heap)
+            event_id = record[2]
+            if get(event_id) is record and event_id not in exclude:
+                picked.append((event_id, round_ - record[0]))
+                if len(picked) == count:
+                    break
+        return picked
 
     def compact(self) -> None:
-        """Rebuild the heap, discarding stale entries (housekeeping)."""
-        self._heap = [(e.anchor, e.arrival, eid) for eid, e in self._entries.items()]
+        """Rebuild the heap, discarding stale records (housekeeping)."""
+        self._heap = list(self._entries.values())
         heapq.heapify(self._heap)

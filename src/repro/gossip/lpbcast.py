@@ -14,15 +14,19 @@ Behaviour, in the paper's own structure:
      its oldest entries when over capacity.
 
 The steady-state receive path is batch-oriented: columnar messages are
-split into new-vs-duplicate ids with set operations against the dedup
-store's backing dict, new ids are bulk-inserted (one capacity trim per
-message), and duplicate age-raises fold through one
-:meth:`~repro.gossip.buffer.EventBuffer.sync_ages` call. In the regime
-the paper's steady state lives in — every summary a duplicate — the
-whole message reduces to one subset check and one direct-dict loop.
-The seed's per-event loop is kept verbatim as
-:meth:`on_receive_reference`; the dispatch-determinism tests assert the
-two paths produce byte-identical runs. (The one observable difference
+split into new-vs-duplicate columns against the dedup store's backing
+dict, new ids are bulk-inserted (one capacity trim per message) and
+staged in one :meth:`~repro.gossip.buffer.EventBuffer.stage_many` call,
+duplicate age-raises fold through one
+:meth:`~repro.gossip.buffer.EventBuffer.sync_ages` call, and the
+bookkeeping is per message too: one ``deliver_fn`` call carries the
+message's new events and one ``drop_fn`` call its overflow trim. In the
+regime the paper's steady state lives in — every summary a duplicate —
+the whole message reduces to one subset check and one direct-dict loop.
+The seed's per-event loop is kept as :meth:`on_receive_reference`,
+reporting through the same callbacks one event at a time; the
+dispatch-determinism tests assert the two paths produce byte-identical
+runs. (The one observable difference
 is deliberately pathological: with the batch path, ids are atomic
 within a message, so an undersized dedup store can no longer evict an
 id mid-message and re-deliver a later duplicate of it from the *same*
@@ -43,9 +47,9 @@ paper's Figure 5 additions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
-from repro.gossip.buffer import DroppedEvent, EventBuffer
+from repro.gossip.buffer import Dropped, EventBuffer
 from repro.gossip.config import SystemConfig
 from repro.gossip.dedup import DedupStore
 from repro.gossip.events import EventColumns, EventId
@@ -78,15 +82,16 @@ class ProtocolStats:
     drops_resize: int = 0
     drops_obsolete: int = 0
 
-    def note_drop(self, reason: str) -> None:
+    def note_drops(self, reason: str, count: int) -> None:
+        """Count ``count`` drops of one reason."""
         if reason == "overflow":
-            self.drops_overflow += 1
+            self.drops_overflow += count
         elif reason == "age_out":
-            self.drops_age_out += 1
+            self.drops_age_out += count
         elif reason == "obsolete":
-            self.drops_obsolete += 1
+            self.drops_obsolete += count
         else:
-            self.drops_resize += 1
+            self.drops_resize += count
 
 
 class LpbcastProtocol(GossipProtocol):
@@ -105,8 +110,10 @@ class LpbcastProtocol(GossipProtocol):
         Source of randomness for target selection (a named stream from
         the driver, for reproducibility).
     deliver_fn / drop_fn:
-        Optional callbacks for application delivery and buffer drops;
-        the metrics collector hooks in here.
+        Optional per-batch callbacks for application delivery and buffer
+        drops (the :data:`~repro.gossip.protocol.DeliverFn` /
+        :data:`~repro.gossip.protocol.DropFn` contract); the metrics
+        collector hooks in here.
     sampler:
         Target-selection strategy; defaults to the paper's uniform pick.
     """
@@ -173,8 +180,8 @@ class LpbcastProtocol(GossipProtocol):
         self._next_seq += 1
         self.dedup.add(event_id)
         self.stats.broadcasts += 1
-        self._deliver(event_id, payload, now)  # the sender is a receiver too
-        self._note_drops(self.buffer.add(event_id, age=0, payload=payload), now)
+        self._deliver((event_id,), (payload,), now)  # the sender is a receiver too
+        self._dropped("overflow", self.buffer.add(event_id, age=0, payload=payload), now)
         return event_id
 
     def try_broadcast(self, payload: Any, now: float) -> Optional[EventId]:
@@ -209,8 +216,8 @@ class LpbcastProtocol(GossipProtocol):
         buffer = self.buffer
         buffer.advance_round()
         dropped = buffer.drop_aged_out(self.config.max_age)
-        if dropped:
-            self._note_drops(dropped, now)
+        if dropped[0]:
+            self._dropped("age_out", dropped, now)
         if self._has_before_hook:
             self._before_emission(now)
 
@@ -309,37 +316,50 @@ class LpbcastProtocol(GossipProtocol):
                         if has_after:
                             self._after_receive(message, now)
                         continue
-                    self._fold_columns(events, now)
+                    if len(id_set) == len(ids):
+                        self._fold_columns(events, now)
+                    else:
+                        # an id repeated within one message (only a
+                        # malformed wire message can): first copy wins
+                        self._fold_rows(events, now)
             elif events:
                 self._fold_rows(events, now)
             if has_after:
                 self._after_receive(message, now)
             if len(buffer) > buffer.capacity:
-                self._note_drops(buffer.evict_overflow(), now)
+                self._dropped("overflow", buffer.evict_overflow(), now)
 
     def _fold_columns(self, events: EventColumns, now: float) -> None:
-        """Fold a columnar message with at least one new event."""
-        buffer = self.buffer
-        dedup = self.dedup
+        """Fold a columnar message with at least one new event, in columns."""
+        ids = events.ids
+        ages = events.ages
+        payloads = events.payloads
         known = self._known_ids
-        stage = buffer.stage
-        duplicate_ids: list = []
-        duplicate_ages: list[int] = []
-        for event_id, age, payload in zip(events.ids, events.ages, events.payloads):
-            if event_id in known:
-                duplicate_ids.append(event_id)
-                duplicate_ages.append(age)
-            else:
-                known[event_id] = None
-                self._deliver(event_id, payload, now)
-                stage(event_id, age=age, payload=payload)
-        dedup.trim()
-        if duplicate_ids:
-            self.stats.duplicates_seen += len(duplicate_ids)
-            buffer.sync_ages(duplicate_ids, duplicate_ages)
+        fresh = [k for k, event_id in enumerate(ids) if event_id not in known]
+        if len(fresh) == len(ids):
+            new_ids, new_ages, new_payloads = ids, ages, payloads
+        else:
+            new_ids = [ids[k] for k in fresh]
+            new_ages = [ages[k] for k in fresh]
+            new_payloads = [payloads[k] for k in fresh]
+        known.update(dict.fromkeys(new_ids))
+        self.dedup.trim()
+        self._deliver(new_ids, new_payloads, now)
+        buffer = self.buffer
+        buffer.stage_many(new_ids, new_ages, new_payloads)
+        if new_ids is not ids:
+            self.stats.duplicates_seen += len(ids) - len(new_ids)
+            # the new events sit at exactly their message ages, so only
+            # the duplicates can raise: fold the whole message at once
+            buffer.sync_ages(ids, ages)
 
     def _fold_rows(self, events, now: float) -> None:
-        """Fold row-form events (hand-built lists: requests, replies)."""
+        """Fold row-form events (hand-built lists: requests, replies).
+
+        One event at a time, delivering each through its own
+        ``deliver_fn`` call — the seed's loop, and the per-event
+        reference the batched column fold is tested against.
+        """
         buffer = self.buffer
         dedup_add = self.dedup.add
         sync_age = buffer.sync_age
@@ -347,7 +367,7 @@ class LpbcastProtocol(GossipProtocol):
         duplicates = 0
         for event_id, age, payload in events:
             if dedup_add(event_id):
-                self._deliver(event_id, payload, now)
+                self._deliver((event_id,), (payload,), now)
                 stage(event_id, age=age, payload=payload)
             else:
                 duplicates += 1
@@ -360,7 +380,8 @@ class LpbcastProtocol(GossipProtocol):
 
         Semantically identical to :meth:`on_receive` (the determinism
         tests bind nodes to this method and assert byte-identical runs);
-        only the folding strategy differs.
+        only the folding strategy differs, and it reports every delivery
+        and every drop through its own callback call.
         """
         stats = self.stats
         stats.messages_received += 1
@@ -371,7 +392,8 @@ class LpbcastProtocol(GossipProtocol):
         buffer = self.buffer
         self._after_receive(message, now)
         if len(buffer) > buffer.capacity:
-            self._note_drops(buffer.evict_overflow(), now)
+            for event_id, age in zip(*buffer.evict_overflow()):
+                self._dropped("overflow", ([event_id], [age]), now)
         return []
 
     # ------------------------------------------------------------------
@@ -379,7 +401,7 @@ class LpbcastProtocol(GossipProtocol):
     # ------------------------------------------------------------------
     def set_buffer_capacity(self, capacity: int, now: float) -> None:
         """Change ``|events|max`` at runtime (Figure 9's resource change)."""
-        self._note_drops(self.buffer.resize(capacity), now)
+        self._dropped("resize", self.buffer.resize(capacity), now)
 
     @property
     def buffer_capacity(self) -> int:
@@ -404,15 +426,15 @@ class LpbcastProtocol(GossipProtocol):
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _deliver(self, event_id: EventId, payload: Any, now: float) -> None:
-        self.stats.events_delivered += 1
+    def _deliver(self, event_ids: Sequence[EventId], payloads: Sequence[Any], now: float) -> None:
+        self.stats.events_delivered += len(event_ids)
         if self._deliver_fn is not None:
-            self._deliver_fn(event_id, payload, now)
+            self._deliver_fn(event_ids, payloads, now)
 
-    def _note_drops(self, drops: list[DroppedEvent], now: float) -> None:
-        if not drops:
+    def _dropped(self, reason: str, dropped: Dropped, now: float) -> None:
+        ids, ages = dropped
+        if not ids:
             return
-        for d in drops:
-            self.stats.note_drop(d.reason)
-            if self._drop_fn is not None:
-                self._drop_fn(d.id, d.age, d.reason, now)
+        self.stats.note_drops(reason, len(ids))
+        if self._drop_fn is not None:
+            self._drop_fn(reason, ids, ages, now)

@@ -96,10 +96,17 @@ class Emission(NamedTuple):
 EmissionBatch = tuple[tuple[NodeId, ...], GossipMessage]
 
 
-# deliver_fn(event_id, payload, now) — called exactly once per locally new event
-DeliverFn = Callable[[EventId, Any, float], None]
-# drop_fn(event_id, age, reason, now) — called when the real buffer drops an event
-DropFn = Callable[[EventId, int, str, float], None]
+# deliver_fn(event_ids, payloads, now) — called once per batch of locally
+# new events: once per received message that carried any (or per event on
+# the reference and row-form paths), and once per broadcast. Every new
+# event is in exactly one call, in the order it was buffered.
+DeliverFn = Callable[[Sequence[EventId], Sequence[Any], float], None]
+# drop_fn(reason, event_ids, ages, now) — called once per removal the real
+# buffer made (a message's overflow trim, a round's age-out, a resize, an
+# obsolescence purge) with the dropped ids and their ages, in drop order;
+# reason is "overflow", "age_out", "resize" or "obsolete". Never called
+# with no events.
+DropFn = Callable[[str, Sequence[EventId], Sequence[int], float], None]
 
 
 class GossipProtocol(abc.ABC):

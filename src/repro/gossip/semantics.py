@@ -91,12 +91,10 @@ class SemanticLpbcastProtocol(LpbcastProtocol):
             return
         previous = self._holder_of.get(key)
         if previous is not None and previous != event_id:
-            removed = self.buffer.remove(previous, reason="obsolete")
-            if removed is not None:
+            age = self.buffer.remove(previous)
+            if age is not None:
                 self.obsoleted += 1
-                self.stats.note_drop("obsolete")
-                if self._drop_fn is not None:
-                    self._drop_fn(removed.id, removed.age, "obsolete", now)
+                self._dropped("obsolete", ([previous], [age]), now)
         # Track the newest holder even if the new event itself was already
         # evicted by overflow — its id still defines "newest seen".
         self._holder_of[key] = event_id

@@ -5,8 +5,12 @@ drivers connect it to each node:
 
 * sender admission — :meth:`on_offered` / :meth:`on_admitted` /
   :meth:`on_rejected`;
-* protocol delivery callback — :meth:`on_deliver`;
-* protocol drop callback — :meth:`on_drop`;
+* protocol delivery callback — :meth:`on_deliver_many`, one call per
+  batch of one node's new events (a received message's, a broadcast's);
+* protocol drop callback — :meth:`on_drop_bulk`, one call per removal a
+  buffer made (an overflow trim, a round's age-out, a resize, a purge);
+* the single-event forms :meth:`on_deliver` / :meth:`on_drop`, and the
+  columnar lane's :meth:`on_deliver_bulk` (one event, many receivers);
 * per-round gauges — :meth:`sample_gauge` (allowed rate, avgAge,
   minBuff estimate, buffer occupancy).
 
@@ -17,7 +21,7 @@ Analysis (reliability, atomicity, rate series) lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.gossip.events import EventId
 from repro.gossip.protocol import NodeId
@@ -194,17 +198,30 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     def on_deliver(self, node: NodeId, event_id: EventId, time: float) -> None:
         """A node delivered an event (deduplicated per receiver)."""
-        record = self.messages.get(event_id)
-        if record is None:
-            # Not admitted (yet): either the sender's own in-broadcast
-            # delivery racing its on_admitted call, or a message from an
-            # uninstrumented source. Parked and replayed on admission.
-            self._early.setdefault(event_id, []).append((node, time))
-            return
-        if record.note_delivery(node, time):
-            self.deliveries.add(time)
-        else:
-            self.duplicate_deliveries += 1
+        self.on_deliver_many(node, (event_id,), time)
+
+    def on_deliver_many(self, node: NodeId, event_ids: Sequence[EventId], time: float) -> None:
+        """One node delivered several events at one instant, in order.
+
+        Records exactly what one :meth:`on_deliver` per event would, with
+        one weighted ``deliveries`` add (integer weights: the same float
+        sums).
+        """
+        messages = self.messages
+        fresh = 0
+        for event_id in event_ids:
+            record = messages.get(event_id)
+            if record is None:
+                # Not admitted (yet): either the sender's own in-broadcast
+                # delivery racing its on_admitted call, or a message from an
+                # uninstrumented source. Parked and replayed on admission.
+                self._early.setdefault(event_id, []).append((node, time))
+            elif record.note_delivery(node, time):
+                fresh += 1
+            else:
+                self.duplicate_deliveries += 1
+        if fresh:
+            self.deliveries.add(time, fresh)
 
     def on_deliver_bulk(self, event_id: EventId, count: int, time: float) -> None:
         """``count`` first deliveries of one event at one instant.
@@ -221,35 +238,29 @@ class MetricsCollector:
 
     def on_drop(self, node: NodeId, event_id: EventId, age: int, reason: str, time: float) -> None:
         """A buffer dropped an event; overflow drops feed the age signal."""
+        self.on_drop_bulk(reason, time, (age,))
+
+    def on_drop_bulk(self, reason: str, time: float, ages: Sequence[int]) -> None:
+        """``len(ages)`` drops of one reason at one instant, in one call.
+
+        Records exactly what one :meth:`on_drop` per age, in order, would:
+        every series takes one integer-valued weight, and the drop-age
+        gauge one bucket update, instead of that many unit adds (integer
+        ages: the same float sums).
+        """
+        if not ages:
+            return
         if reason == "age_out":
-            self.drops_age_out.add(time)
+            self.drops_age_out.add(time, len(ages))
             return
         if reason == "obsolete":
             # semantic purging ([11]) is voluntary, not congestion — it
             # must not pollute the drop-age signal statistics
-            self.drops_obsolete.add(time)
+            self.drops_obsolete.add(time, len(ages))
             return
         # overflow and resize evictions are the paper's "dropped messages"
-        self.drops_overflow.add(time)
-        self.drop_age_gauge.sample(time, age)
-        self.drop_ages.append(age)
-
-    def on_drop_bulk(self, reason: str, time: float, ages: list[int]) -> None:
-        """``len(ages)`` overflow or resize drops at one instant, in one call.
-
-        Records exactly what one :meth:`on_drop` per age, in order, would
-        (the series take one integer-valued weight instead of that many
-        unit adds: the same float sums). Only the paper's "dropped
-        messages" (``reason`` "overflow" or "resize", which record alike)
-        carry the age signal worth batching; a bulk age-out is one
-        weighted ``drops_age_out.add``.
-        """
-        if not ages:
-            return
         self.drops_overflow.add(time, len(ages))
-        sample = self.drop_age_gauge.sample
-        for age in ages:
-            sample(time, age)
+        self.drop_age_gauge.sample_many(time, ages)
         self.drop_ages.extend(ages)
 
     # ------------------------------------------------------------------

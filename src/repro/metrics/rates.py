@@ -12,7 +12,7 @@ Two flavours cover everything the experiments plot over time:
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 __all__ = ["BucketSeries", "GaugeSeries"]
 
@@ -84,9 +84,17 @@ class GaugeSeries:
         self._counts: dict[int, int] = {}
 
     def sample(self, time: float, value: float) -> None:
+        self.sample_many(time, (value,))
+
+    def sample_many(self, time: float, values: Sequence[float]) -> None:
+        """Record several samples taken at one instant, as one bucket update.
+
+        For integer-valued samples (drop ages) the one float add of their
+        integer sum equals the per-sample adds exactly.
+        """
         b = int(math.floor(time / self.bucket_width))
-        self._sums[b] = self._sums.get(b, 0.0) + value
-        self._counts[b] = self._counts.get(b, 0) + 1
+        self._sums[b] = self._sums.get(b, 0.0) + sum(values)
+        self._counts[b] = self._counts.get(b, 0) + len(values)
 
     def merge(self, other: "GaugeSeries") -> None:
         """Fold another series' samples into this one (sharded collection)."""

@@ -15,7 +15,9 @@ runs, its nodes on one event loop over real UDP sockets
    shared-nothing), ships each its :class:`WorkerConfig` over a control
    pipe, and waits for every ``ready``; a ``bind_failed`` (a port taken
    between probe and bind) tears everything down and retries with a
-   fresh map under the next attempt salt;
+   fresh map under the next attempt salt, and any other startup failure
+   (a worker that died, timed out or answered something else) raises at
+   once, naming the worker's exit code;
 3. releases the **start barrier**, one :func:`time.monotonic` instant
    every worker's spec clock starts from (so the shards' rounds sit on
    one grid), and waits out the run, the spec's duration at
@@ -46,7 +48,7 @@ import os
 import socket
 import time
 from random import Random
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from repro.runtime.cluster import ThreadedCluster
 from repro.runtime.worker import WorkerConfig, worker_main
@@ -260,7 +262,7 @@ class ProcessCluster:
                     identities, spec.seed, host=self.host, attempt=attempt
                 )
                 self._spawn(port_map, wall)
-                last_failure = self._await_ready()
+                last_failure = self._await_ready()  # raises on all but a bind race
                 if not last_failure:
                     break
                 self._teardown()
@@ -326,23 +328,39 @@ class ProcessCluster:
             self._conns.append(parent_conn)
 
     def _await_ready(self) -> str:
-        """Empty string when every worker bound; else the failure reason."""
+        """Empty string when every worker bound; the reason of a lost
+        bind race (the one failure a fresh port map can cure).
+
+        Any other startup failure raises ``RuntimeError`` at once, with
+        the worker's exit code: a worker that died before ``ready`` most
+        often means the launching script lacks its ``__main__`` guard.
+        """
         deadline = time.monotonic() + self.START_TIMEOUT
         for worker_id, conn in enumerate(self._conns):
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not conn.poll(max(0.0, remaining)):
-                return f"worker {worker_id} not ready within {self.START_TIMEOUT}s"
+                self._startup_failed(worker_id, f"not ready within {self.START_TIMEOUT}s")
             try:
                 msg = conn.recv()
             except (EOFError, OSError):
-                return f"worker {worker_id} died during startup"
-            if not isinstance(msg, tuple) or not msg:
-                return f"worker {worker_id} sent garbage: {msg!r}"
-            if msg[0] == "bind_failed":
+                self._startup_failed(
+                    worker_id,
+                    "died during startup; the spawn start method re-imports "
+                    "the launching script in every worker, so a script that "
+                    "starts the process driver must guard its entry point "
+                    "with `if __name__ == \"__main__\":`",
+                )
+            if isinstance(msg, tuple) and msg and msg[0] == "bind_failed":
                 return f"worker {worker_id} lost a bind race: {msg[2]}"
-            if msg[0] != "ready":
-                return f"worker {worker_id} sent unexpected {msg[0]!r}"
+            if not (isinstance(msg, tuple) and msg and msg[0] == "ready"):
+                self._startup_failed(worker_id, f"sent {msg!r} instead of ready")
         return ""
+
+    def _startup_failed(self, worker_id: int, what: str) -> NoReturn:
+        """Raise for a startup failure no fresh port map can cure."""
+        proc = self._procs[worker_id]
+        proc.join(timeout=1.0)  # a dead worker's exit code is there at once
+        raise RuntimeError(f"worker {worker_id} (exitcode {proc.exitcode}) {what}")
 
     def _collect(self, wall: float) -> list:
         """Every worker's ``(report, collector, size log, wire stats)``."""

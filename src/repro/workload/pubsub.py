@@ -182,11 +182,11 @@ class PubSubSystem:
         membership = FullMembershipView(group.directory, address)
         collector = group.collector
 
-        def deliver_fn(event_id, payload, now, _addr=address):
-            collector.on_deliver(_addr, event_id, now)
+        def deliver_fn(event_ids, payloads, now, _addr=address):
+            collector.on_deliver_many(_addr, event_ids, now)
 
-        def drop_fn(event_id, age, reason, now, _addr=address):
-            collector.on_drop(_addr, event_id, age, reason, now)
+        def drop_fn(reason, event_ids, ages, now):
+            collector.on_drop_bulk(reason, now, ages)
 
         config = self.system_config.with_buffer(capacity)
         protocol = self._factory(

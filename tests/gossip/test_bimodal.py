@@ -20,7 +20,7 @@ def make_node(node_id=0, n=8, **cfg):
         config,
         FullMembershipView(directory, node_id),
         random.Random(1),
-        deliver_fn=lambda eid, p, t: delivered.append((eid, p)),
+        deliver_fn=lambda ids, ps, t: delivered.extend(zip(ids, ps)),
     )
     return proto, delivered
 

@@ -20,8 +20,8 @@ def make_node(node_id=0, n=10, **cfg):
         config,
         FullMembershipView(directory, node_id),
         random.Random(1),
-        deliver_fn=lambda eid, p, t: delivered.append((eid, p, t)),
-        drop_fn=lambda eid, age, r, t: dropped.append((eid, age, r, t)),
+        deliver_fn=lambda ids, ps, t: delivered.extend((e, p, t) for e, p in zip(ids, ps)),
+        drop_fn=lambda r, ids, ages, t: dropped.extend((e, a, r, t) for e, a in zip(ids, ages)),
     )
     return proto, delivered, dropped
 

@@ -58,7 +58,7 @@ def test_protocol_invariants_under_adversarial_input(ops):
         config,
         FullMembershipView(directory, 0),
         random.Random(7),
-        deliver_fn=lambda eid, p, t: delivered.append(eid),
+        deliver_fn=lambda ids, ps, t: delivered.extend(ids),
     )
     now = 0.0
     for op in ops:

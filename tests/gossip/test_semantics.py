@@ -18,7 +18,7 @@ def make_node(node_id=0, n=8, policy=None, **cfg):
         config,
         FullMembershipView(directory, node_id),
         random.Random(1),
-        drop_fn=lambda eid, age, r, t: drops.append((eid, r)),
+        drop_fn=lambda r, ids, ages, t: drops.extend((e, r) for e in ids),
         policy=policy,
     )
     return proto, drops

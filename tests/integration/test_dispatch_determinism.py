@@ -62,7 +62,18 @@ def run(
     return cluster
 
 
+def _bucket_counts(series):
+    return tuple(sorted(series._counts.items()))
+
+
+def _gauge_buckets(series):
+    return tuple(sorted(series._sums.items())), _bucket_counts(series)
+
+
 def fingerprint(cluster):
+    """Every recorded number a run's bookkeeping produces, bucket by
+    bucket: the batched per-message callbacks must fold into exactly the
+    floats the per-event reference path's one-call-per-event produces."""
     m = cluster.metrics
     deliveries = tuple(
         sorted(
@@ -75,6 +86,12 @@ def fingerprint(cluster):
         for node in range(12)
         if m.gauge("allowed_rate", node) is not None
     )
+    adaptive_gauges = tuple(
+        (name, node, _gauge_buckets(m.gauge(name, node)))
+        for name in ("avg_age", "min_buff")
+        for node in range(12)
+        if m.gauge(name, node) is not None
+    )
     return (
         m.admitted.total,
         m.deliveries.total,
@@ -82,6 +99,12 @@ def fingerprint(cluster):
         tuple(m.drop_ages),
         deliveries,
         gauges,
+        _bucket_counts(m.deliveries),
+        _bucket_counts(m.drops_overflow),
+        _bucket_counts(m.drops_age_out),
+        _gauge_buckets(m.drop_age_gauge),
+        m.duplicate_deliveries,
+        adaptive_gauges,
     )
 
 
@@ -125,6 +148,7 @@ def test_batched_receive_matches_reference_loop():
     """Columnar fold vs the seed's per-event loop: byte-identical runs."""
     a = run("batched", protocol="lpbcast")
     b = run("batched", protocol="lpbcast", receive_path="reference")
+    assert a.metrics.drops_overflow.total > 0  # eviction really ran
     assert fingerprint(a) == fingerprint(b)
 
 
@@ -132,6 +156,7 @@ def test_batched_receive_matches_reference_loop_adaptive():
     """Same equivalence with the Figure 5 machinery hooked in."""
     a = run("batched")
     b = run("batched", receive_path="reference")
+    assert a.metrics.drops_overflow.total > 0  # eviction really ran
     assert fingerprint(a) == fingerprint(b)
 
 

@@ -138,13 +138,15 @@ def test_gauge_index_survives_pickle_and_merge():
 
 
 def test_bulk_drops_record_what_per_drop_calls_record():
-    """One on_drop_bulk call per (overflow or resize reason, instant)
-    leaves the collector exactly as the loop of on_drop calls would:
-    series, drop-age gauge samples in order, and the drop_ages list."""
+    """One on_drop_bulk call per (reason, instant) leaves the collector
+    exactly as the loop of on_drop calls would: series, drop-age gauge
+    samples in order, and the drop_ages list."""
     calls = [
         ("overflow", 2.5, [3, 1, 4, 1]),
         ("resize", 2.5, [5]),
+        ("age_out", 2.5, [9, 11, 10]),
         ("overflow", 7.25, [2, 6]),
+        ("obsolete", 7.25, [1, 2]),
         ("overflow", 8.0, []),
     ]
     for aggregate in (False, True):

@@ -20,6 +20,7 @@ import dataclasses
 import math
 import multiprocessing
 import socket
+import sys
 import threading
 import time
 
@@ -314,6 +315,31 @@ def test_no_processes_leak_after_a_failed_startup():
     finally:
         for sock in holders:
             sock.close()
+
+
+def test_a_worker_dead_before_ready_fails_at_once_with_its_exit_code(monkeypatch):
+    """A worker that dies before ``ready`` (here its entry point exits at
+    once, as the spawn re-import of an unguarded script does) is no lost
+    port race: one attempt, and the error names the worker's exit code
+    and the ``__main__`` guard."""
+    import repro.runtime.process_cluster as pc
+
+    spec = get_scenario("overload-baseline", smoke_profile()).with_horizon(6.0)
+    cluster = ProcessCluster(spec, n_workers=1)
+    spawns = []
+    spawn = cluster._spawn
+
+    def counting_spawn(port_map, wall):
+        spawns.append(port_map)
+        spawn(port_map, wall)
+
+    monkeypatch.setattr(cluster, "_spawn", counting_spawn)
+    monkeypatch.setattr(pc, "worker_main", sys.exit)  # SystemExit(conn): exit code 1
+    before = len(multiprocessing.active_children())
+    with pytest.raises(RuntimeError, match=r"worker 0 \(exitcode 1\) died during startup.*__main__"):
+        cluster.run(wall_seconds=2.0)
+    assert len(spawns) == 1
+    assert len(multiprocessing.active_children()) <= before
 
 
 # ----------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_sender_payload_fn():
     sim = Simulator(seed=1)
     proto = make_protocol(sim)
     received = []
-    proto._deliver_fn = lambda eid, payload, now: received.append(payload)
+    proto._deliver_fn = lambda ids, payloads, now: received.extend(payloads)
     collector = MetricsCollector()
     Sender(
         sim, "s", proto, PeriodicArrivals(5.0), collector,
