@@ -272,16 +272,17 @@ def build_cluster(spec: RunSpec) -> SimCluster:
             ViewConfig(view_size=spec.view_size) if spec.view_size is not None else None
         ),
         bucket_width=spec.bucket_width,
-        dispatch=spec.dispatch,
-        sample_gauges=spec.sample_gauges,
-        aggregate_metrics=spec.aggregate_metrics,
         # the columnar mega lane honours loss/partition/cap/crash/churn
         # schedules it can prove equivalent; anything else (sender
         # crashes, off-tick restarts, brand-new identities) materialises
-        # per-node protocols
-        allow_mega=(
-            spec.dispatch != "vector" or vector_fallback_reason(spec) is None
+        # per-node protocols, which vector dispatch runs as batched
+        dispatch=(
+            "batched"
+            if spec.dispatch == "vector" and vector_fallback_reason(spec) is not None
+            else spec.dispatch
         ),
+        sample_gauges=spec.sample_gauges,
+        aggregate_metrics=spec.aggregate_metrics,
     )
     if spec.senders is not None:
         for sender in spec.senders:

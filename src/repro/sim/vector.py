@@ -15,8 +15,8 @@ determinism/parity suites compare entire runs, exactly as
 Why this can be exact
 ---------------------
 The vectorized lane only engages for configurations where the per-node
-semantics provably collapse (see :func:`vector_eligible` and, for the
-human-readable rejection, :func:`vector_ineligible_reason`): the baseline
+semantics provably collapse (see :func:`vector_ineligible_reason`, which
+names the first disqualifying condition): the baseline
 ``lpbcast`` protocol, full membership, a fixed round phase with zero
 jitter, and constant latency shorter than the gossip period. In that
 regime:
@@ -139,7 +139,6 @@ __all__ = [
     "HAVE_NUMPY",
     "VectorNodeProtocol",
     "VectorRoundExecutor",
-    "vector_eligible",
     "vector_ineligible_reason",
     "mega_schedule_reason",
 ]
@@ -251,7 +250,6 @@ def vector_ineligible_reason(
     aggregate,
     rate_limit,
     n_nodes: int,
-    allow_mega: bool = True,
     faults=None,
     churn=None,
     sender_ids=(),
@@ -263,13 +261,10 @@ def vector_ineligible_reason(
     ``run-scenario --dispatch vector`` prints it when falling back, so
     users learn *why* they got the slow lane.
 
-    ``allow_mega`` is the caller's veto for conditions this check cannot
-    see; ``faults``/``churn``/``sender_ids`` let callers that know the
+    ``faults``/``churn``/``sender_ids`` let callers that know the
     schedules get the full verdict up front (the experiment harness
     passes them from the spec).
     """
-    if not allow_mega:
-        return "caller vetoed the mega lane (allow_mega=False)"
     if protocol != "lpbcast":
         return (
             f"protocol {protocol!r} is not the baseline lpbcast "
@@ -322,44 +317,6 @@ def vector_ineligible_reason(
         faults=faults,
         churn=churn,
         sender_ids=sender_ids,
-    )
-
-
-def vector_eligible(
-    *,
-    protocol: Any,
-    membership: str,
-    system,
-    latency,
-    loss,
-    aggregate,
-    rate_limit,
-    n_nodes: int,
-    allow_mega: bool = True,
-    faults=None,
-    churn=None,
-    sender_ids=(),
-) -> bool:
-    """Whether a configuration may run on the columnar mega lane.
-
-    The boolean face of :func:`vector_ineligible_reason`.
-    """
-    return (
-        vector_ineligible_reason(
-            protocol=protocol,
-            membership=membership,
-            system=system,
-            latency=latency,
-            loss=loss,
-            aggregate=aggregate,
-            rate_limit=rate_limit,
-            n_nodes=n_nodes,
-            allow_mega=allow_mega,
-            faults=faults,
-            churn=churn,
-            sender_ids=sender_ids,
-        )
-        is None
     )
 
 
@@ -1169,14 +1126,14 @@ class VectorRoundExecutor:
             raise RuntimeError(
                 f"join of unknown node {i!r} is not supported on the "
                 "vectorized mega lane (no columns for it); construct the "
-                "cluster with allow_mega=False"
+                'cluster with dispatch="batched"'
             )
         if self.sim.now + self._phase != self._next_tick:
             raise RuntimeError(
                 f"restart of node {i!r} at t={self.sim.now} does not land "
                 "on a round tick; off-tick restarts are not supported on "
                 "the vectorized mega lane — construct the cluster with "
-                "allow_mega=False"
+                'dispatch="batched"'
             )
         if self._order_dirty:
             self._order = [d for d in self._order if d in self._alive]

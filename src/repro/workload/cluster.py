@@ -45,7 +45,7 @@ from repro.sim.process import SimProcess
 from repro.sim.vector import (
     VectorRoundExecutor,
     mega_schedule_reason,
-    vector_eligible,
+    vector_ineligible_reason,
 )
 from repro.workload.senders import PeriodicArrivals, Sender
 
@@ -173,18 +173,18 @@ class SimCluster(Driver):
         Metrics time-bucket width in seconds.
     dispatch:
         ``"batched"`` (default), ``"timers"``, or ``"vector"`` — see the
-        module docstring and :mod:`repro.sim.vector`.
+        module docstring and :mod:`repro.sim.vector`. ``"vector"`` uses
+        the whole-population columnar lane when the configuration
+        qualifies and is identical to ``"batched"`` otherwise. Loss,
+        partition, one-way, link-loss, bandwidth-cap, crash and aligned
+        churn schedules lower onto the lane; callers that will apply a
+        schedule it cannot honour (see
+        :func:`~repro.sim.vector.mega_schedule_reason`) build with
+        ``"batched"`` — the harness screens specs and does this
+        automatically.
     aggregate_metrics:
         Aggregate-only metrics (no per-node receiver sets or gauges) —
         the memory mode for 10k+-node runs.
-    allow_mega:
-        Permission for ``dispatch="vector"`` to use the whole-population
-        columnar lane when the configuration qualifies. Loss, partition,
-        one-way, link-loss, bandwidth-cap, crash and aligned churn
-        schedules lower onto the lane; callers that will apply a
-        schedule it cannot honour (see
-        :func:`~repro.sim.vector.mega_schedule_reason`) pass ``False``
-        — the harness screens specs and does this automatically.
     vector_numpy:
         Force the vector lane's numpy fast path on/off; ``None``
         auto-detects. Results are identical either way.
@@ -207,7 +207,6 @@ class SimCluster(Driver):
         sample_gauges: bool = True,
         dispatch: str = "batched",
         aggregate_metrics: bool = False,
-        allow_mega: bool = True,
         vector_numpy: Optional[bool] = None,
     ) -> None:
         super().__init__(
@@ -239,7 +238,7 @@ class SimCluster(Driver):
         # classic modes) materialises real per-node protocol instances,
         # for which vector dispatch is identical to batched.
         self.vector: Optional[VectorRoundExecutor] = None
-        if dispatch == "vector" and vector_eligible(
+        if dispatch == "vector" and vector_ineligible_reason(
             protocol=protocol,
             membership=membership,
             system=self.system,
@@ -248,8 +247,7 @@ class SimCluster(Driver):
             aggregate=aggregate,
             rate_limit=rate_limit,
             n_nodes=n_nodes,
-            allow_mega=allow_mega,
-        ):
+        ) is None:
             self.vector = VectorRoundExecutor(
                 self.sim,
                 self.network,
@@ -377,11 +375,13 @@ class SimCluster(Driver):
     def _check_mega_schedule(self, faults=None, churn=None) -> None:
         """Refuse schedules the columnar lane cannot lower, up front.
 
-        The harness pre-screens specs (``allow_mega`` in
-        :func:`~repro.experiments.harness.build_cluster`), so on that path
-        the vector lane only engages for supported schedules; this guards
-        direct callers that construct a vector cluster and then apply an
-        unsupported script.
+        The harness pre-screens specs (its
+        :func:`~repro.experiments.harness.build_cluster` builds a
+        ``"batched"`` cluster when
+        :func:`~repro.experiments.harness.vector_fallback_reason` names a
+        reason), so on that path the vector lane only engages for
+        supported schedules; this guards direct callers that construct a
+        vector cluster and then apply an unsupported script.
         """
         if self.vector is None:
             return
@@ -395,7 +395,7 @@ class SimCluster(Driver):
         if reason is not None:
             raise RuntimeError(
                 f"schedule is not supported on the vectorized mega lane "
-                f"({reason}); construct the cluster with allow_mega=False "
+                f'({reason}); construct the cluster with dispatch="batched" '
                 "(the harness does this automatically for such specs)"
             )
 
@@ -405,7 +405,7 @@ class SimCluster(Driver):
             raise RuntimeError(
                 f"{operation} of sender node {node_id!r} is not supported "
                 "on the vectorized mega lane (its sender process keeps "
-                "broadcasting); construct the cluster with allow_mega=False"
+                'broadcasting); construct the cluster with dispatch="batched"'
             )
         node = self.nodes.pop(node_id, None)
         if node is None:

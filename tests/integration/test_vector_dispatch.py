@@ -12,7 +12,12 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.harness import build_cluster, run_once, spec_for_scenario
+from repro.experiments.harness import (
+    build_cluster,
+    run_once,
+    spec_for_scenario,
+    vector_fallback_reason,
+)
 from repro.experiments.profiles import QUICK
 from repro.experiments.sweep import run_scenario_matrix
 from repro.gossip.config import SystemConfig
@@ -218,44 +223,45 @@ def test_mega_lane_supports_faults_and_nonsender_churn():
 def test_mega_lane_refuses_unsupported_schedules():
     """What stays vetoed: sender departures (their sender process keeps
     broadcasting), brand-new identities, and off-grid rejoins. Every
-    refusal names the allow_mega escape hatch."""
+    refusal names the batched escape hatch."""
     cluster = _mega_cluster()
     cluster.add_sender(0, rate=1.0)
-    with pytest.raises(RuntimeError, match="allow_mega"):
+    with pytest.raises(RuntimeError, match='dispatch="batched"'):
         cluster.crash_node(0)
-    with pytest.raises(RuntimeError, match="allow_mega"):
+    with pytest.raises(RuntimeError, match='dispatch="batched"'):
         cluster.leave_node(0)
-    with pytest.raises(RuntimeError, match="allow_mega"):
+    with pytest.raises(RuntimeError, match='dispatch="batched"'):
         cluster.join_node(99)
-    with pytest.raises(RuntimeError, match="allow_mega"):
+    with pytest.raises(RuntimeError, match='dispatch="batched"'):
         cluster.apply_faults(churn=ChurnScript().crash(5.0, 0))
-    with pytest.raises(RuntimeError, match="allow_mega"):
+    with pytest.raises(RuntimeError, match='dispatch="batched"'):
         cluster.apply_faults(churn=ChurnScript().crash(2.0, 3).join(4.5, 3))
-    with pytest.raises(RuntimeError, match="allow_mega"):
+    with pytest.raises(RuntimeError, match='dispatch="batched"'):
         cluster.apply_faults(FaultScript().crash(2.0, nodes=(3,), restart_at=4.5))
     cluster.crash_node(3)
     cluster.run(until=4.5)
-    with pytest.raises(RuntimeError, match="allow_mega"):
+    with pytest.raises(RuntimeError, match='dispatch="batched"'):
         cluster.join_node(3)  # t=4.5 is off the round grid
 
 
-def test_allow_mega_false_restores_dynamic_membership():
-    """The harness's veto: same config with allow_mega=False builds real
-    per-node protocols, on which every dynamic operation still works."""
-    cluster = SimCluster(
-        n_nodes=8,
-        system=SystemConfig(
-            buffer_capacity=10,
-            dedup_capacity=500,
-            round_phase=0.0,
-            round_jitter=0.0,
-        ),
-        protocol="lpbcast",
-        seed=1,
-        latency=ConstantLatency(0.01),
-        dispatch="vector",
-        allow_mega=False,
+def test_harness_falls_back_to_per_node_for_an_unsupported_schedule():
+    """The harness's screen: a vector spec whose schedule the columnar
+    lane refuses (an off-tick restart) builds a batched cluster of real
+    per-node protocols, runs to the batched result, and keeps every
+    dynamic operation the lane refuses."""
+    spec = dataclasses.replace(
+        get_scenario("mega-flood", _MATRIX_PROFILE),
+        faults=FaultScript().crash(2.0, nodes=(3,), restart_at=4.5),
     )
-    assert cluster.vector is None
-    cluster.crash_node(3)
+    vector_spec = spec_for_scenario(spec, dispatch="vector")
+    assert vector_fallback_reason(vector_spec) is not None
+    cluster = build_cluster(vector_spec)
+    assert cluster.vector is None and cluster.dispatch == "batched"
+    sender = next(iter(cluster.senders))
+    cluster.crash_node(sender)
+    cluster.join_node(99)
     cluster.run(until=5.0)
+    assert 3 in cluster.nodes and 99 in cluster.nodes
+    _assert_results_identical(
+        run_once(spec_for_scenario(spec, dispatch="batched")), run_once(vector_spec)
+    )
